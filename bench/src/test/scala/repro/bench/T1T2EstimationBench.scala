@@ -2,7 +2,6 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.exp.Experiments
-import repro.exp.Experiments.{f, printTable}
 
 /** T1 (Fig. 4a/4b) — error of the |J_i|/|U| ratio estimated by
   * HISTOGRAM-BASED(+EO join sizes), vs overlap scale, on UQ1 and UQ3.
@@ -18,10 +17,7 @@ class T1RatioErrorBench extends SparkSpec {
   test("T1: ratio-estimation error on UQ1 and UQ3") {
     val byWorkload = Seq("UQ1", "UQ3").map { w =>
       val rows = Experiments.t1RatioError(spark, w, sf, overlaps)
-      printTable(s"T1 ($w): ratio error, HISTOGRAM+EO, sf=$sf",
-        Seq("overlap", "join", "exact |J|/|U|", "est |J|/|U|", "abs error"),
-        rows.map(r => Seq(f(r.overlap), r.join.toString, f(r.exactRatio),
-          f(r.estRatio), f(r.error))))
+      Experiments.printT1(s"T1 ($w): ratio error, HISTOGRAM+EO, sf=$sf", rows)
       w -> rows
     }.toMap
     // Errors are bounded (ratios live in [0,1]); the loosest point is the
@@ -53,10 +49,7 @@ class T2EstimationRuntimeBench extends SparkSpec {
     // FULLJOIN times out at scale while HISTOGRAM keeps going.
     for ((w, sf) <- Seq("UQ1" -> 0.02, "UQ3" -> 0.6)) {
       val rows = Experiments.t2EstimationRuntime(spark, w, sf, overlaps)
-      printTable(s"T2 ($w): union-size estimation runtime, sf=$sf",
-        Seq("overlap", "HIST ms", "FULLJOIN ms", "HIST |U|", "exact |U|"),
-        rows.map(r => Seq(f(r.overlap), r.histMs.toString, r.fullMs.toString,
-          f(r.histUnion), f(r.exactUnion))))
+      Experiments.printT2(s"T2 ($w): union-size estimation runtime, sf=$sf", rows)
       val hist = rows.map(_.histMs).sum
       val full = rows.map(_.fullMs).sum
       assert(hist < full, s"$w: HISTOGRAM ($hist ms) not faster than FULLJOIN ($full ms)")

@@ -2,7 +2,6 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.exp.Experiments
-import repro.exp.Experiments.{f, printTable}
 
 /** T3 (Fig. 5a) — per-join |J_i|/|U| ratio error on UQ1: HISTOGRAM+EO vs
   * RANDOM-WALK.
@@ -15,10 +14,7 @@ class T3RatioErrorRwBench extends SparkSpec {
   test("T3: RANDOM-WALK estimates dominate HISTOGRAM estimates") {
     val rows = Experiments.t3RatioErrorRw(spark, "UQ1", sf = 0.04, overlap = 0.3,
       rwWalks = 1200)
-    printTable("T3 (UQ1): ratio error, HISTOGRAM+EO vs RANDOM-WALK",
-      Seq("join", "exact", "HIST est", "HIST err", "RW est", "RW err"),
-      rows.map(r => Seq(r.join.toString, f(r.exactRatio), f(r.histRatio),
-        f(r.histError), f(r.rwRatio), f(r.rwError))))
+    Experiments.printT3("T3 (UQ1): ratio error, HISTOGRAM+EO vs RANDOM-WALK", rows)
     val histErr = rows.map(_.histError).sum / rows.size
     val rwErr = rows.map(_.rwError).sum / rows.size
     info(s"mean error: HIST $histErr vs RW $rwErr")
@@ -40,10 +36,7 @@ class T4ScaleDataBench extends SparkSpec {
     val sfs = Seq(0.02, 0.04, 0.08)
     val rows = Experiments.t4ScaleData(spark, "UQ1", sfs, overlap = 0.3,
       Seq("HIST+EO", "HIST+EW", "RW+EW"), n = 300)
-    printTable("T4 (UQ1): sampling time vs data scale (N=300)",
-      Seq("sf", "method", "warmup ms", "sample ms", "total ms"),
-      rows.map(r => Seq(f(r.sf), r.method, r.warmupMs.toString,
-        r.sampleMs.toString, r.totalMs.toString)))
+    Experiments.printT4("T4 (UQ1): sampling time vs data scale", rows)
     def sampleMs(m: String, sf: Double) =
       rows.find(r => r.method == m && r.sf == sf).get.sampleMs
     // EO pays for scale much more than EW at the largest sf.

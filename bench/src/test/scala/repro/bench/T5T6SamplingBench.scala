@@ -2,7 +2,6 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.exp.Experiments
-import repro.exp.Experiments.printTable
 
 /** T5 (Fig. 5c/5d/5e) — sampling time vs sample size on UQ1/UQ2/UQ3 for
   * HIST+EW, HIST+EO and RW+EW.
@@ -19,10 +18,7 @@ class T5ScaleSamplesBench extends SparkSpec {
     for (w <- Seq("UQ1", "UQ2", "UQ3")) {
       val rows = Experiments.t5ScaleSamples(spark, w, sf, overlap = 0.3,
         Seq("HIST+EW", "HIST+EO", "RW+EW"), ns)
-      printTable(s"T5 ($w): sampling time vs sample size, sf=$sf",
-        Seq("method", "N", "warmup ms", "sample ms", "total ms"),
-        rows.map(r => Seq(r.method, r.n.toString, r.warmupMs.toString,
-          r.sampleMs.toString, r.totalMs.toString)))
+      Experiments.printT5(s"T5 ($w): sampling time vs sample size, sf=$sf", rows)
       def t(m: String, n: Int) = rows.find(r => r.method == m && r.n == n).get
       // time grows with N (cumulative draws; generous: largest > smallest)
       Seq("HIST+EW", "HIST+EO", "RW+EW").foreach { m =>
@@ -50,12 +46,7 @@ class T6BreakdownBench extends SparkSpec {
     for (w <- Seq("UQ1", "UQ2", "UQ3")) {
       val rows = Experiments.t6Breakdown(spark, w, sf, overlap = 0.3,
         Seq("HIST+EW", "HIST+EO", "RW+EW"), n = 400)
-      printTable(s"T6 ($w): time breakdown, N=400, sf=$sf",
-        Seq("method", "params ms", "accepted ms", "rejected ms",
-          "accepted", "dup-rej", "EO-rej", "walk-fail"),
-        rows.map(r => Seq(r.method, r.paramsMs.toString, r.acceptedMs.toString,
-          r.rejectedMs.toString, r.accepted.toString, r.rejectedDup.toString,
-          r.eoRejected.toString, r.walkFailures.toString)))
+      Experiments.printT6(s"T6 ($w): time breakdown, N=400, sf=$sf", rows)
       val ew = rows.find(_.method == "HIST+EW").get
       val eo = rows.find(_.method == "HIST+EO").get
       assert(ew.eoRejected == 0 && ew.walkFailures == 0,

@@ -2,7 +2,6 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.exp.Experiments
-import repro.exp.Experiments.{f, printTable}
 
 /** T7 (Fig. 6a) — ONLINE-UNION sampling time with vs without reuse of
   * warm-up samples, vs sample size.
@@ -18,10 +17,7 @@ class T7ReuseBench extends SparkSpec {
   test("T7: reuse beats no-reuse on all workloads") {
     for (w <- Seq("UQ1", "UQ2", "UQ3")) {
       val rows = Experiments.t7Reuse(spark, w, sf, overlap = 0.3, ns, rwWalks = 600)
-      printTable(s"T7 ($w): online sampling, reuse vs no-reuse, sf=$sf",
-        Seq("reuse", "N", "warmup ms", "sample ms", "pool hits", "walk attempts"),
-        rows.map(r => Seq(r.reuse.toString, r.n.toString, r.warmupMs.toString,
-          r.sampleMs.toString, r.poolHits.toString, r.walkAttempts.toString)))
+      Experiments.printT7(s"T7 ($w): online sampling, reuse vs no-reuse, sf=$sf", rows)
       val withR = rows.filter(_.reuse)
       val without = rows.filter(!_.reuse)
       assert(withR.map(_.sampleMs).sum < without.map(_.sampleMs).sum,
@@ -44,14 +40,12 @@ class T8ReusePhaseBench extends SparkSpec {
 
   test("T8: per-sample cost, regular vs reuse phase") {
     val rows = Seq("UQ1", "UQ2", "UQ3").map { w =>
-      w -> Experiments.t8ReusePhase(spark, w, sf, overlap = 0.3, n = 400)
+      Experiments.t8ReusePhase(spark, w, sf, overlap = 0.3, n = 400)
     }
-    printTable("T8: ms per accepted sample, regular vs reuse phase (N=400)",
-      Seq("workload", "regular ms/sample", "reuse ms/sample"),
-      rows.map { case (w, r) => Seq(w, f(r.regularMsPerSample), f(r.reuseMsPerSample)) })
-    rows.foreach { case (w, r) =>
+    Experiments.printT8("T8: ms per accepted sample, regular vs reuse phase (N=400)", rows)
+    rows.foreach { r =>
       assert(r.reuseMsPerSample < r.regularMsPerSample,
-        s"$w: reuse phase (${r.reuseMsPerSample}) should be cheaper than " +
+        s"${r.workload}: reuse phase (${r.reuseMsPerSample}) should be cheaper than " +
           s"regular (${r.regularMsPerSample})")
     }
   }

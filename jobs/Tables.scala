@@ -1,7 +1,6 @@
 package repro.jobs
 
 import repro.exp.Experiments
-import repro.exp.Experiments.{f, printTable}
 
 /** T1 (Fig. 4a/4b): |J_i|/|U| ratio-estimation error of HISTOGRAM+EO vs
   * overlap scale. Args: [sf=0.05].
@@ -13,9 +12,7 @@ object T1RatioError {
     val overlaps = Seq(0.2, 0.4, 0.6, 0.8)
     for (w <- Seq("UQ1", "UQ3")) {
       val rows = Experiments.t1RatioError(spark, w, sf, overlaps)
-      printTable(s"T1 ($w): ratio error, HISTOGRAM+EO, sf=$sf",
-        Seq("overlap", "join", "exact |J|/|U|", "est |J|/|U|", "abs error"),
-        rows.map(r => Seq(f(r.overlap), r.join.toString, f(r.exactRatio), f(r.estRatio), f(r.error))))
+      Experiments.printT1(s"T1 ($w): ratio error, HISTOGRAM+EO, sf=$sf", rows)
     }
     spark.stop()
   }
@@ -31,10 +28,7 @@ object T2EstimationRuntime {
     val overlaps = Seq(0.2, 0.4, 0.6, 0.8)
     for (w <- Seq("UQ1", "UQ3")) {
       val rows = Experiments.t2EstimationRuntime(spark, w, sf, overlaps)
-      printTable(s"T2 ($w): union-size estimation runtime, sf=$sf",
-        Seq("overlap", "HIST ms", "FULLJOIN ms", "HIST |U|", "exact |U|"),
-        rows.map(r => Seq(f(r.overlap), r.histMs.toString, r.fullMs.toString,
-          f(r.histUnion), f(r.exactUnion))))
+      Experiments.printT2(s"T2 ($w): union-size estimation runtime, sf=$sf", rows)
     }
     spark.stop()
   }
@@ -48,10 +42,7 @@ object T3RatioErrorRw {
     val spark = JobUtil.session("T3RatioErrorRw")
     val rows = Experiments.t3RatioErrorRw(spark, "UQ1",
       JobUtil.argD(args, 0, 0.05), JobUtil.argD(args, 1, 0.3), JobUtil.argI(args, 2, 1500))
-    printTable("T3 (UQ1): ratio error, HISTOGRAM+EO vs RANDOM-WALK",
-      Seq("join", "exact", "HIST est", "HIST err", "RW est", "RW err"),
-      rows.map(r => Seq(r.join.toString, f(r.exactRatio), f(r.histRatio),
-        f(r.histError), f(r.rwRatio), f(r.rwError))))
+    Experiments.printT3("T3 (UQ1): ratio error, HISTOGRAM+EO vs RANDOM-WALK", rows)
     spark.stop()
   }
 }
@@ -64,10 +55,7 @@ object T4ScaleData {
     val spark = JobUtil.session("T4ScaleData")
     val rows = Experiments.t4ScaleData(spark, "UQ1", Seq(0.02, 0.04, 0.08),
       JobUtil.argD(args, 0, 0.3), Seq("HIST+EO", "HIST+EW", "RW+EW"), JobUtil.argI(args, 1, 300))
-    printTable("T4 (UQ1): sampling time vs data scale",
-      Seq("sf", "method", "N", "warmup ms", "sample ms", "total ms"),
-      rows.map(r => Seq(f(r.sf), r.method, r.n.toString, r.warmupMs.toString,
-        r.sampleMs.toString, r.totalMs.toString)))
+    Experiments.printT4("T4 (UQ1): sampling time vs data scale", rows)
     spark.stop()
   }
 }
@@ -83,10 +71,7 @@ object T5ScaleSamples {
     for (w <- Seq("UQ1", "UQ2", "UQ3")) {
       val rows = Experiments.t5ScaleSamples(spark, w, sf, ov,
         Seq("HIST+EW", "HIST+EO", "RW+EW"), Seq(100, 300, 1000))
-      printTable(s"T5 ($w): sampling time vs sample size, sf=$sf",
-        Seq("method", "N", "warmup ms", "sample ms", "total ms"),
-        rows.map(r => Seq(r.method, r.n.toString, r.warmupMs.toString,
-          r.sampleMs.toString, r.totalMs.toString)))
+      Experiments.printT5(s"T5 ($w): sampling time vs sample size, sf=$sf", rows)
     }
     spark.stop()
   }
@@ -104,12 +89,7 @@ object T6Breakdown {
     for (w <- Seq("UQ1", "UQ2", "UQ3")) {
       val rows = Experiments.t6Breakdown(spark, w, sf, ov,
         Seq("HIST+EW", "HIST+EO", "RW+EW"), n)
-      printTable(s"T6 ($w): time breakdown, N=$n, sf=$sf",
-        Seq("method", "params ms", "accepted ms", "rejected ms",
-          "accepted", "dup-rej", "EO-rej", "walk-fail"),
-        rows.map(r => Seq(r.method, r.paramsMs.toString, r.acceptedMs.toString,
-          r.rejectedMs.toString, r.accepted.toString, r.rejectedDup.toString,
-          r.eoRejected.toString, r.walkFailures.toString)))
+      Experiments.printT6(s"T6 ($w): time breakdown, N=$n, sf=$sf", rows)
     }
     spark.stop()
   }
@@ -126,10 +106,7 @@ object T7Reuse {
     val walks = JobUtil.argI(args, 2, 600)
     for (w <- Seq("UQ1", "UQ2", "UQ3")) {
       val rows = Experiments.t7Reuse(spark, w, sf, ov, Seq(100, 300, 800), walks)
-      printTable(s"T7 ($w): online sampling, reuse vs no-reuse, sf=$sf",
-        Seq("reuse", "N", "warmup ms", "sample ms", "pool hits", "walk attempts"),
-        rows.map(r => Seq(r.reuse.toString, r.n.toString, r.warmupMs.toString,
-          r.sampleMs.toString, r.poolHits.toString, r.walkAttempts.toString)))
+      Experiments.printT7(s"T7 ($w): online sampling, reuse vs no-reuse, sf=$sf", rows)
     }
     spark.stop()
   }
@@ -144,12 +121,8 @@ object T8ReusePhase {
     val sf = JobUtil.argD(args, 0, 0.05)
     val ov = JobUtil.argD(args, 1, 0.3)
     val n = JobUtil.argI(args, 2, 500)
-    val rows = Seq("UQ1", "UQ2", "UQ3").map { w =>
-      val r = Experiments.t8ReusePhase(spark, w, sf, ov, n)
-      Seq(w, f(r.regularMsPerSample), f(r.reuseMsPerSample))
-    }
-    printTable(s"T8: ms per accepted sample, regular vs reuse phase (N=$n)",
-      Seq("workload", "regular ms/sample", "reuse ms/sample"), rows)
+    val rows = Seq("UQ1", "UQ2", "UQ3").map(w => Experiments.t8ReusePhase(spark, w, sf, ov, n))
+    Experiments.printT8(s"T8: ms per accepted sample, regular vs reuse phase (N=$n)", rows)
     spark.stop()
   }
 }

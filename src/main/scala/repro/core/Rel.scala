@@ -3,6 +3,7 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
+import org.apache.spark.storage.StorageLevel
 
 /** A base relation participating in a join.
   *
@@ -19,7 +20,7 @@ import org.apache.spark.sql.functions._
 final case class Rel(name: String, raw: DataFrame) {
 
   /** Cached data. Every estimator touches relations many times. */
-  lazy val df: DataFrame = { val d = raw.cache(); d.count(); d }
+  lazy val df: DataFrame = { val d = Rel.cached(raw); d.count(); d }
 
   lazy val count: Long = df.count()
 
@@ -33,8 +34,18 @@ final case class Rel(name: String, raw: DataFrame) {
     */
   lazy val indexed: DataFrame = {
     val ordered = Window.orderBy(cols.map(col): _*)
-    val d = df.withColumn("__rid", row_number().over(ordered).cast("long") - 1).cache()
+    val d = Rel.cached(df.withColumn("__rid", row_number().over(ordered).cast("long") - 1))
     d.count()
     d
   }
+}
+
+object Rel {
+  /** `df` marked for caching, unless its plan is cached already: frames
+    * rebuilt with the same plan (a workload generated again, a second
+    * sampler over the same join) share one cache entry, and caching it
+    * again only logs a warning.
+    */
+  def cached(df: DataFrame): DataFrame =
+    if (df.storageLevel == StorageLevel.NONE) df.cache() else df
 }

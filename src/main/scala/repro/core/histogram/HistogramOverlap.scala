@@ -12,8 +12,8 @@ import repro.core.stats.DegreeStats
   *   K(1) = min_j |R_{j,1}|                              (fake first hop)
   *   K(i) = K(i−1) · min_j M_{j,i}
   * where M_{j,i} = 1 for a fake hop (both pieces split from the same
-  * original relation) and the max — or, with `refined`, the average — hop
-  * attribute degree of the next piece otherwise.
+  * original relation) and the max hop attribute degree of the next piece
+  * otherwise.
   *
   * With |Δ| = 1 the mins disappear and the recursion reduces to the
   * extended-Olken join-size bound of §3.2, so the same code yields the
@@ -21,7 +21,7 @@ import repro.core.stats.DegreeStats
   */
 object HistogramOverlap {
 
-  /** Upper bound of |O_Δ| for aligned chain forms.
+  /** Upper bound of |O_Δ| for one Δ of aligned chain forms.
     *
     * The K recursion is valid from either end of the chain; each
     * orientation is an upper bound, so we take the tighter of the two.
@@ -29,51 +29,9 @@ object HistogramOverlap {
     * relations' value histograms, the reverse pass in the *last* — e.g.
     * UQ1's per-join lineitems are only visible to the reverse pass.)
     */
-  def overlapBound(delta: Seq[ChainForm], refined: Boolean = false): Double =
-    math.min(directedBound(delta, refined), directedBound(delta.map(_.reversed), refined))
-
-  /** K recursion in the orientation given. */
-  private def directedBound(delta: Seq[ChainForm], refined: Boolean): Double = {
-    require(delta.nonEmpty)
-    require(delta.forall(_.hopAttrs == delta.head.hopAttrs), "chains must be aligned")
-    val hops = delta.head.hops
-    if (hops == 0) return delta.map(_.sizes.head.toDouble).min
-
-    var k = firstHop(delta)
-    var i = 1
-    while (i < hops) {
-      val m = delta.map { c =>
-        if (c.isFake(i)) 1.0
-        else if (refined) DegreeStats.avgDegree(c.dfs(i + 1), c.hopAttrs(i))
-        else DegreeStats.maxDegree(c.dfs(i + 1), c.hopAttrs(i)).toDouble
-      }.min
-      k *= m
-      i += 1
-    }
-    k
-  }
-
-  /** K(1): value-level histogram intersection across the joins of Δ. */
-  private def firstHop(delta: Seq[ChainForm]): Double = {
-    if (delta.forall(_.isFake(0))) return delta.map(_.sizes.head.toDouble).min
-    val attr = delta.head.hopAttrs(0)
-    // Per join: (v, d1(v)·d2(v)); a fake hop contributes d(v) of the shared
-    // source alone (the recombination does not multiply).
-    val prods = delta.zipWithIndex.map { case (c, j) =>
-      if (c.isFake(0))
-        DegreeStats.histogram(c.dfs(0), attr).withColumnRenamed("deg", s"__p$j")
-      else {
-        val h1 = DegreeStats.histogram(c.dfs(0), attr).withColumnRenamed("deg", "__d1")
-        val h2 = DegreeStats.histogram(c.dfs(1), attr).withColumnRenamed("deg", "__d2")
-        h1.join(h2, attr).select(col(attr), (col("__d1") * col("__d2")).as(s"__p$j"))
-      }
-    }
-    val joined = prods.reduceLeft((l, r) => l.join(r, attr))
-    val minCol =
-      if (delta.size == 1) col("__p0")
-      else least(delta.indices.map(j => col(s"__p$j")): _*)
-    val res = joined.agg(sum(minCol)).head
-    if (res.isNullAt(0)) 0.0 else res.getLong(0).toDouble
+  def overlapBound(delta: Seq[ChainForm]): Double = {
+    val all = Seq(delta.indices)
+    math.min(directionTable(delta, all)(all.head), directionTable(delta.map(_.reversed), all)(all.head))
   }
 
   /** Full HISTOGRAM-BASED parameter estimation for a union workload.
@@ -81,14 +39,10 @@ object HistogramOverlap {
     * Structurally-aligned chain unions (the §5.1 base case) use their
     * relations directly; anything else is rewritten on the best standard
     * template via the splitting method. Then |O_Δ| is bounded for every
-    * non-empty Δ ⊆ S (singletons = extended-Olken join-size bounds).
-    *
-    * The powerset sweep shares work: per direction, the per-join first-hop
-    * degree products are outer-joined on the hop value *once*, and every
-    * subset's K(1) is one aggregation over that cached frame; the K(i)
-    * multipliers come from the memoized degree statistics.
+    * non-empty Δ ⊆ S (singletons = extended-Olken join-size bounds), the
+    * tighter of the two orientations as in [[overlapBound]].
     */
-  def estimate(joins: Seq[JoinSpec], refined: Boolean = false): UnionParams = {
+  def estimate(joins: Seq[JoinSpec]): UnionParams = {
     val chains: Seq[ChainForm] =
       if (ChainForm.aligned(joins)) joins.map(j => ChainForm.direct(j.asInstanceOf[ChainJoin]))
       else {
@@ -96,25 +50,32 @@ object HistogramOverlap {
         joins.map(Splitter.split(_, template))
       }
     val n = joins.size
-    val fwd = directionTable(chains, refined)
-    val rev = directionTable(chains.map(_.reversed), refined)
-    val overlaps = (1 to n).flatMap { k =>
-      (0 until n).combinations(k).map { idx =>
-        idx.toSet -> math.min(fwd(idx), rev(idx))
-      }
-    }.toMap
+    val subsets = (1 to n).flatMap(k => (0 until n).combinations(k))
+    val fwd = directionTable(chains, subsets)
+    val rev = directionTable(chains.map(_.reversed), subsets)
+    val overlaps = subsets.map(idx => idx.toSet -> math.min(fwd(idx), rev(idx))).toMap
     UnionParams(n, monotonize(n, overlaps))
   }
 
-  /** Precompute one orientation's shared state; returns Δ ↦ bound. */
-  private def directionTable(chains: Seq[ChainForm], refined: Boolean): Seq[Int] => Double = {
+  /** The K recursion in the orientation given, for each subset Δ (indices
+    * into `chains`).
+    *
+    * The sweep shares work: the per-join first-hop degree products are
+    * outer-joined on the hop value *once*, every subset's K(1) is one
+    * aggregation over that cached frame, which is unpersisted after the
+    * sweep; the K(i) multipliers come from the memoized degree statistics.
+    */
+  private def directionTable(chains: Seq[ChainForm], subsets: Seq[Seq[Int]]): Map[Seq[Int], Double] = {
+    require(chains.forall(_.hopAttrs == chains.head.hopAttrs), "chains must be aligned")
     val hops = chains.head.hops
-    if (hops == 0) return idx => idx.map(i => chains(i).sizes.head.toDouble).min
+    def fakeK1(idx: Seq[Int]): Double = idx.map(i => chains(i).sizes.head.toDouble).min
+    if (hops == 0) return subsets.map(idx => idx -> fakeK1(idx)).toMap
 
     val attr = chains.head.hopAttrs(0)
-    val allFake = chains.forall(_.isFake(0))
+    // Per join: (v, d1(v)·d2(v)); a fake hop contributes d(v) of the shared
+    // source alone (the recombination does not multiply).
     val joinedProds: Option[org.apache.spark.sql.DataFrame] =
-      if (allFake) None
+      if (chains.forall(_.isFake(0))) None
       else Some {
         val prods = chains.zipWithIndex.map { case (c, j) =>
           if (c.isFake(0))
@@ -129,17 +90,15 @@ object HistogramOverlap {
         d.count()
         d
       }
-    // per-(join, hop) multiplier, memoized via DegreeStats
+    // per-(join, hop) multiplier M_{j,i}, memoized via DegreeStats
     def mult(j: Int, i: Int): Double = {
       val c = chains(j)
-      if (c.isFake(i)) 1.0
-      else if (refined) DegreeStats.avgDegree(c.dfs(i + 1), c.hopAttrs(i))
-      else DegreeStats.maxDegree(c.dfs(i + 1), c.hopAttrs(i)).toDouble
+      if (c.isFake(i)) 1.0 else DegreeStats.maxDegree(c.dfs(i + 1), c.hopAttrs(i)).toDouble
     }
 
-    idx => {
+    val table = subsets.map { idx =>
       val k1 = joinedProds match {
-        case None => idx.map(i => chains(i).sizes.head.toDouble).min
+        case None => fakeK1(idx)
         case Some(d) =>
           val cols = idx.map(j => col(s"__p$j"))
           val m = if (cols.size == 1) cols.head else least(cols: _*)
@@ -147,8 +106,10 @@ object HistogramOverlap {
           val r = d.agg(sum(when(valid, m).otherwise(lit(0L)))).head
           if (r.isNullAt(0)) 0.0 else r.getLong(0).toDouble
       }
-      (1 until hops).foldLeft(k1)((acc, i) => acc * idx.map(j => mult(j, i)).min)
-    }
+      idx -> (1 until hops).foldLeft(k1)((acc, i) => acc * idx.map(j => mult(j, i)).min)
+    }.toMap
+    joinedProds.foreach(_.unpersist())
+    table
   }
 
   /** Enforce O_Δ ≤ min_{Δ'⊂Δ} O_Δ' (a superset overlap can never exceed a

@@ -165,7 +165,7 @@ object Splitter {
       val shared = l.columns.intersect(r.columns).toSeq
       l.join(r, shared)
     }
-    val cached = joined.cache()
+    val cached = Rel.cached(joined)
     (cached, cached.count())
   }
 

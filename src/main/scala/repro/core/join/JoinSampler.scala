@@ -149,7 +149,7 @@ final class ExactWeightSampler(val join: JoinSpec) extends JoinTupleSampler {
     val w =
       if (kids.isEmpty) lit(1.0)
       else kids.indices.map(i => col(s"__s$i")).reduceLeft(_ * _)
-    val wdf = df.withColumn("__w", w).drop(kids.indices.map(i => s"__s$i"): _*).cache()
+    val wdf = Rel.cached(df.withColumn("__w", w).drop(kids.indices.map(i => s"__s$i"): _*))
     wdf.count()
     WNode(wdf, kids)
   }

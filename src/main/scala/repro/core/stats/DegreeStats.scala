@@ -24,11 +24,6 @@ object DegreeStats {
     histogram(df, attr).agg(max("deg")).head.getLong(0)
   }
 
-  /** Average value frequency — the §5.1 refinement of the max-degree bound. */
-  def avgDegree(df: DataFrame, attr: String): Double = memo(df, attr, "avg") {
-    histogram(df, attr).agg(avg("deg")).head.getDouble(0)
-  }
-
   /** Max frequency of a composite key — degree bound for multi-attribute
     * join edges (trees derived from cyclic joins, §8.2).
     */

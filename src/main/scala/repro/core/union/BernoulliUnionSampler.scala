@@ -41,7 +41,7 @@ final class BernoulliUnionSampler(joins: Seq[JoinSpec], params: UnionParams,
             case o if o == j => target += ((t, j)); stats.accepted += 1
             case _           => stats.rejectedDup += 1
           }
-          stats.bookMs += (System.nanoTime() - t1) / 1000000
+          stats.bookNs += System.nanoTime() - t1
         }
         j += 1
       }

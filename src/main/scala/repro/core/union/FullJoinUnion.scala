@@ -16,7 +16,7 @@ final class FullJoinUnion(val joins: Seq[JoinSpec]) {
   val cols: Seq[String] = WanderJoin.canonCols(joins.head)
 
   lazy val joinDfs: Seq[DataFrame] =
-    joins.map(j => j.fullJoin.select(cols.map(col): _*).cache())
+    joins.map(j => Rel.cached(j.fullJoin.select(cols.map(col): _*)))
 
   lazy val sizes: Seq[Long] = joinDfs.map(_.count())
 
@@ -36,14 +36,12 @@ final class FullJoinUnion(val joins: Seq[JoinSpec]) {
     UnionParams(n, overlaps)
   }
 
-  lazy val unionDf: DataFrame = joinDfs.reduce(_ union _).distinct().cache()
+  lazy val unionDf: DataFrame = Rel.cached(joinDfs.reduce(_ union _).distinct())
 
   lazy val unionSize: Long = unionDf.count()
 
   /** Canonical keys of the whole union (test-scale only). */
-  lazy val unionKeys: Set[String] = unionDf.collect().iterator.map { r =>
-    IndexedSeq.range(0, cols.size).map(r.get).map(String.valueOf).mkString("␞")
-  }.toSet
+  lazy val unionKeys: Set[String] = unionDf.collect().iterator.map(JTuple.key).toSet
 
   /** Exact uniform i.i.d. sample (with replacement) from the union. */
   def sampleUnion(count: Int, seed: Long): IndexedSeq[JTuple] = {

@@ -4,6 +4,8 @@ import repro.core._
 import repro.core.join.OlkenSampler
 import repro.core.walk._
 
+import scala.collection.mutable.ArrayBuffer
+
 /** Algorithm 2 — online set-union sampling with sample *reuse* and
   * *backtracking* (§7).
   *
@@ -11,7 +13,7 @@ import repro.core.walk._
   * callers may seed them from a RANDOM-WALK warm-up, in which case the
   * warm-up's walk tuples seed the reuse pools). The main loop selects
   * joins as Algorithm 1 does (redrawing from the same join until a draw is
-  * accepted by the cover bookkeeping), but:
+  * accepted by the shared [[CoverBook]]), but:
   *
   *  - **Reuse** (lines 7–10): if join j's pool of previously walked tuples
   *    is non-empty, pop a random pooled tuple t and accept it with ratio
@@ -37,74 +39,60 @@ final class OnlineUnionSampler(joins: Seq[JoinSpec],
   private val rng = new java.util.Random(seed)
   private val samplers = joins.map(new OlkenSampler(_)).toIndexedSeq
 
-  /** Reuse pools: walk tuples with known p(t), drawn without replacement. */
-  private val pools: IndexedSeq[scala.collection.mutable.ArrayBuffer[JTuple]] =
-    IndexedSeq.fill(n)(scala.collection.mutable.ArrayBuffer.empty[JTuple])
+  private def warm(j: Int): IndexedSeq[JTuple] =
+    warmup.fold(IndexedSeq.empty[JTuple])(_.batches(j).samples)
 
-  /** Online walk statistics per join (seeded from the warm-up if given). */
-  private val walkStats: IndexedSeq[WalkStats] = IndexedSeq.fill(n)(new WalkStats)
+  /** Reuse pools: walk tuples with known p(t), drawn without replacement. */
+  private val pools: IndexedSeq[ArrayBuffer[JTuple]] =
+    IndexedSeq.tabulate(n)(j => ArrayBuffer.from(if (reuse) warm(j) else Nil))
 
   /** All successful walk tuples per join — the RW overlap estimator input. */
-  private val walked: IndexedSeq[scala.collection.mutable.ArrayBuffer[JTuple]] =
-    IndexedSeq.fill(n)(scala.collection.mutable.ArrayBuffer.empty[JTuple])
+  private val walked: IndexedSeq[ArrayBuffer[JTuple]] =
+    IndexedSeq.tabulate(n)(j => ArrayBuffer.from(warm(j)))
 
-  warmup.foreach { w =>
-    (0 until n).foreach { j =>
-      if (reuse) pools(j) ++= w.batches(j).samples
-      walked(j) ++= w.batches(j).samples
-      w.batches(j).samples.foreach(t => walkStats(j).add(1.0 / t.p))
-      (0 until w.batches(j).failures).foreach(_ => walkStats(j).add(0.0))
-    }
-  }
+  /** Online walk statistics per join (seeded from the warm-up if given). */
+  private val walkStats: IndexedSeq[WalkStats] =
+    IndexedSeq.tabulate(n)(j => warmup.fold(new WalkStats)(w => WalkStats.of(w.batches(j))))
 
   final class OnlineStats extends UnionStats {
     var poolHits: Int = 0         // tuples served from the reuse pool
     var poolRejected: Int = 0
     var backtracks: Int = 0
     var backtrackRemoved: Int = 0
-    var poolMs: Long = 0          // time spent serving from the pool
+    var poolNs: Long = 0          // time spent serving from the pool
+
+    def poolMs: Long = poolNs / 1000000
   }
 
   def sample(count: Int): UnionSample = {
     var params = initParams
     val stats = new OnlineStats
-    val buffers = samplers.map(new DrawBuffer(_, stats, seed + 1))
-    val target = scala.collection.mutable.ArrayBuffer.empty[(JTuple, Int)]
-    val origJoin = scala.collection.mutable.HashMap.empty[String, Int]
+    val book = new CoverBook(stats)
     var recordedP = 0
     var confident = false
 
-    /** Cover bookkeeping; returns true iff the draw was accepted. */
-    def book(t: JTuple, j: Int): Boolean = origJoin.get(t.key) match {
-      case Some(i) if i < j => stats.rejectedDup += 1; false
-      case Some(i) if i > j =>
-        stats.revisions += 1
-        val before = target.size
-        target.filterInPlace(_._1.key != t.key)
-        stats.revisionRemoved += before - target.size
-        origJoin(t.key) = j
-        target += ((t, j)); stats.accepted += 1; true
-      case Some(_) => target += ((t, j)); stats.accepted += 1; true
-      case None =>
-        origJoin(t.key) = j
-        target += ((t, j)); stats.accepted += 1; true
+    // A refill's walks are recorded once, rejected tuples before the draws
+    // popped from the buffer; the rejected tuples refill the pool.
+    val buffers = IndexedSeq.tabulate(n) { j =>
+      new DrawBuffer(samplers(j), stats, seed + 1, ds => {
+        ds.rejectedTuples.foreach { rt => walkStats(j).add(1.0 / rt.p); walked(j) += rt }
+        (0 until ds.walkFailures).foreach(_ => walkStats(j).add(0.0))
+        recordedP += ds.walkAttempts
+        if (reuse) pools(j) ++= ds.rejectedTuples
+      })
     }
 
-    def chunk(j: Int, alphas: IndexedSeq[Double]): Int = {
-      val want = math.ceil((count - target.size + 1) * alphas(j) * 1.5).toInt
+    def chunk(j: Int, alphas: IndexedSeq[Double]): Int =
       if (reuse && pools(j).nonEmpty) {
         // Pools serve most draws; size walk refills by the observed pool
         // fall-through rate so refills stay few *and* amortized.
         val fallRate = (stats.poolRejected + 1.0) / (stats.poolHits + stats.poolRejected + 2.0)
-        math.max(8, math.min(512, math.ceil(want * fallRate).toInt))
-      } else math.max(32, math.min(512, want))
-    }
+        book.chunk(count, alphas(j), hi = 512, share = fallRate, lo = 8)
+      } else book.chunk(count, alphas(j), hi = 512)
 
-    while (target.size < count) {
+    while (book.size < count) {
       val alphas = params.alphas
-      val cum = alphas.scanLeft(0.0)(_ + _).tail
-      val u = rng.nextDouble()
-      val j = cum.indexWhere(u < _) match { case -1 => n - 1; case i => i }
+      val j = CoverBook.pick(alphas.scanLeft(0.0)(_ + _).tail, rng.nextDouble())
 
       // -- reuse path (Alg. 2 lines 7–8) ----------------------------------
       // R-rejection retries the pool: the pool is an i.i.d. collection, so
@@ -125,31 +113,17 @@ final class OnlineUnionSampler(joins: Seq[JoinSpec],
         else {
           stats.poolHits += 1
           var anyAccepted = false
-          (0 until copies).foreach(_ => anyAccepted |= book(t, j))
+          (0 until copies).foreach(_ => anyAccepted |= book.offer(t, j))
           served = anyAccepted
         }
-        stats.poolMs += (System.nanoTime() - t0) / 1000000
+        stats.poolNs += System.nanoTime() - t0
       }
 
       // -- walk path (Alg. 2 lines 9–10), redraw until cover-accepted -----
-      var redraws = 0
-      while (!served && redraws < 10000) {
-        redraws += 1
-        val before = (stats.walkAttempts, stats.walkFailures, stats.eoRejected)
+      if (!served) book.redraw(j) {
         val t = buffers(j).pop(chunk(j, alphas))
-        val newAttempts = stats.walkAttempts - before._1
-        if (newAttempts > 0) { // a refill happened: record its walks
-          buffers(j).lastRejected.foreach { rt =>
-            walkStats(j).add(1.0 / rt.p); walked(j) += rt
-          }
-          (0 until (stats.walkFailures - before._2)).foreach(_ => walkStats(j).add(0.0))
-          recordedP += newAttempts
-          if (reuse) pools(j) ++= buffers(j).lastRejected
-        }
         walkStats(j).add(1.0 / t.p); walked(j) += t
-        val t1 = System.nanoTime()
-        served = book(t, j)
-        stats.bookMs += (System.nanoTime() - t1) / 1000000
+        t
       }
 
       // -- backtracking with parameter update (Alg. 2 line 18) ------------
@@ -157,19 +131,17 @@ final class OnlineUnionSampler(joins: Seq[JoinSpec],
         recordedP = 0
         val newParams = reestimate()
         stats.backtracks += 1
-        val before = target.size
-        target.filterInPlace { case (_, tj) =>
+        stats.backtrackRemoved += book.retain { case (_, tj) =>
           val ratioOld = params.alphas(tj)
           val ratioNew = newParams.alphas(tj)
           val keep = if (ratioOld <= 0) 1.0 else math.min(1.0, ratioNew / ratioOld)
           rng.nextDouble() < keep
         }
-        stats.backtrackRemoved += before - target.size
         params = newParams
         confident = confidence() >= gamma
       }
     }
-    UnionSample(target.take(count).toIndexedSeq, stats)
+    UnionSample(book.tuples.take(count), stats)
   }
 
   /** Re-run the RANDOM-WALK parameter estimation over all walks so far. */
@@ -177,11 +149,8 @@ final class OnlineUnionSampler(joins: Seq[JoinSpec],
     val batches = IndexedSeq.tabulate(n) { j =>
       WalkBatch(walked(j).toIndexedSeq, walkStats(j).n)
     }
-    val memberships = (for {
-      j <- 0 until n
-      i <- 0 until n if i != j
-    } yield (j, i) -> WanderJoin.membership(joins(i), batches(j).samples)).toMap
-    WarmUp.paramsFrom(n, (0 until n).map(walkStats(_).mean), batches, memberships)
+    WarmUp.paramsFrom(n, (0 until n).map(walkStats(_).mean), batches,
+      WarmUp.memberships(joins, batches))
   }
 
   /** Confidence that the size estimates are settled: 1 − relative CI

@@ -9,9 +9,8 @@ import repro.core.walk.JTuple
   * parameters, accepted answers and rejected answers.
   */
 class UnionStats {
-  var warmupMs: Long = 0          // parameter estimation (set by caller)
-  var drawMs: Long = 0            // time inside single-join samplers
-  var bookMs: Long = 0            // accept/reject/revision bookkeeping
+  var drawNs: Long = 0            // time inside single-join samplers
+  var bookNs: Long = 0            // accept/reject/revision bookkeeping
   var joinDraws: Int = 0          // ψ — tuples obtained from join subroutines
   var accepted: Int = 0
   var rejectedDup: Int = 0        // duplicates owned by an earlier join (line 8)
@@ -20,6 +19,9 @@ class UnionStats {
   var walkAttempts: Int = 0
   var walkFailures: Int = 0
   var eoRejected: Int = 0         // walk tuples rejected by the Olken test
+
+  def drawMs: Long = drawNs / 1000000
+  def bookMs: Long = bookNs / 1000000
 
   /** Sampling-phase time attributed to rejected work, proportionally to
     * the rejected share of draw attempts.
@@ -30,7 +32,6 @@ class UnionStats {
     (drawMs + bookMs) * rej / att
   }
   def acceptedMs: Long = drawMs + bookMs - rejectedMs
-  def totalMs: Long = warmupMs + drawMs + bookMs
 }
 
 /** The sample: tuples with the join that produced them, plus run stats. */
@@ -38,25 +39,24 @@ final case class UnionSample(tuples: IndexedSeq[(JTuple, Int)], stats: UnionStat
 
 /** Per-join buffer of pre-drawn i.i.d. tuples: popping sequentially is
   * distributionally identical to drawing one-at-a-time, so the union
-  * sampler can consume single draws while Spark works in batches.
+  * sampler can consume single draws while Spark works in batches. Each
+  * refill's [[DrawStats]] go to `onRefill` (Algorithm 2 records its walks).
   */
-final class DrawBuffer(sampler: JoinTupleSampler, stats: UnionStats, seed: Long) {
+final class DrawBuffer(sampler: JoinTupleSampler, stats: UnionStats, seed: Long,
+                       onRefill: DrawStats => Unit = _ => ()) {
   private val buf = scala.collection.mutable.Queue.empty[JTuple]
   private var round = 0
-
-  /** The last refill's rejected walk tuples (Algorithm 2 reuses them). */
-  var lastRejected: IndexedSeq[JTuple] = IndexedSeq.empty
 
   def pop(chunk: Int): JTuple = {
     if (buf.isEmpty) {
       val t0 = System.nanoTime()
       val (ts, ds) = sampler.sample(chunk, seed + 7907L * round)
-      stats.drawMs += (System.nanoTime() - t0) / 1000000
+      stats.drawNs += System.nanoTime() - t0
       stats.joinDraws += ts.size
       stats.walkAttempts += ds.walkAttempts
       stats.walkFailures += ds.walkFailures
       stats.eoRejected += ds.rejected
-      lastRejected = ds.rejectedTuples
+      onRefill(ds)
       buf ++= ts
       round += 1
     }
@@ -70,11 +70,7 @@ final class DrawBuffer(sampler: JoinTupleSampler, stats: UnionStats, seed: Long)
   * the cover implied by `params` and draws i.i.d. tuples from J_j *until
   * one is accepted*, which makes the accepted tuple uniform over the
   * not-yet-owned part of J_j — the sampled realization of the cover J'_j.
-  * The cover bookkeeping: a value first seen from join i is owned by i;
-  * re-drawing it from a *later* join rejects the draw (line 8, redraw);
-  * re-drawing it from an *earlier* join triggers a revision — ownership
-  * moves to the earlier join and all copies accepted under the later
-  * owner are removed from the target sample (lines 10–12).
+  * The accept / reject / revise bookkeeping is [[CoverBook]]'s.
   *
   * Draws are buffered per join ([[DrawBuffer]]) so Spark samples in
   * batches while the bookkeeping consumes one tuple at a time.
@@ -91,44 +87,12 @@ final class UnionSampler(joins: Seq[JoinSpec], params: UnionParams,
     val cum = params.alphas.scanLeft(0.0)(_ + _).tail
     val stats = new UnionStats
     val buffers = samplers.map(new DrawBuffer(_, stats, seed))
-    val target = scala.collection.mutable.ArrayBuffer.empty[(JTuple, Int)]
-    val origJoin = scala.collection.mutable.HashMap.empty[String, Int]
-
-    def chunk(j: Int): Int = {
-      val want = math.ceil((count - target.size + 1) * params.alphas(j) * 1.5).toInt
-      math.max(32, math.min(batchSize, want))
+    val book = new CoverBook(stats)
+    while (book.size < count) {
+      val j = CoverBook.pick(cum, rng.nextDouble())
+      book.redraw(j)(buffers(j).pop(book.chunk(count, params.alphas(j), batchSize)))
     }
-
-    while (target.size < count) {
-      val u = rng.nextDouble()
-      val j = cum.indexWhere(u < _) match { case -1 => params.n - 1; case i => i }
-      var accepted = false
-      var redraws = 0
-      // Redraw from the same join on duplicate rejection; bail out after
-      // many redraws (an estimated-positive cover can be truly empty) and
-      // let the outer loop reselect a join.
-      while (!accepted && redraws < 10000) {
-        redraws += 1
-        val t = buffers(j).pop(chunk(j))
-        val t1 = System.nanoTime()
-        origJoin.get(t.key) match {
-          case Some(i) if i < j => stats.rejectedDup += 1
-          case Some(i) if i > j => // revision
-            stats.revisions += 1
-            val before = target.size
-            target.filterInPlace(_._1.key != t.key)
-            stats.revisionRemoved += before - target.size
-            origJoin(t.key) = j
-            target += ((t, j)); stats.accepted += 1; accepted = true
-          case Some(_) => target += ((t, j)); stats.accepted += 1; accepted = true
-          case None =>
-            origJoin(t.key) = j
-            target += ((t, j)); stats.accepted += 1; accepted = true
-        }
-        stats.bookMs += (System.nanoTime() - t1) / 1000000
-      }
-    }
-    UnionSample(target.take(count).toIndexedSeq, stats)
+    UnionSample(book.tuples.take(count), stats)
   }
 }
 
@@ -156,11 +120,7 @@ final class DisjointUnionSampler(joins: Seq[JoinSpec], params: UnionParams,
     val tot = params.joinSizes.sum
     val cum = params.joinSizes.map(_ / tot).scanLeft(0.0)(_ + _).tail
     val quota = Array.fill(params.n)(0)
-    (0 until count).foreach { _ =>
-      val u = rng.nextDouble()
-      val j = cum.indexWhere(u < _) match { case -1 => params.n - 1; case i => i }
-      quota(j) += 1
-    }
+    (0 until count).foreach(_ => quota(CoverBook.pick(cum, rng.nextDouble())) += 1)
     val draws = (0 until params.n).flatMap { j =>
       samplers(j).sample(quota(j), seed + j)._1.map((_, j))
     }

@@ -25,8 +25,7 @@ object WarmUp {
   def exact(fju: FullJoinUnion): UnionParams = fju.params
 
   /** HISTOGRAM-BASED instantiation (§5): degree statistics only. */
-  def histogram(joins: Seq[JoinSpec], refined: Boolean = false): UnionParams =
-    HistogramOverlap.estimate(joins, refined)
+  def histogram(joins: Seq[JoinSpec]): UnionParams = HistogramOverlap.estimate(joins)
 
   /** RANDOM-WALK instantiation (§6): `walksPerJoin` wander-join walks per
     * join estimate |J_j| (HT), membership probes of each join's samples
@@ -52,9 +51,7 @@ object WarmUp {
       var acc = WanderJoin.walkBatch(joins(j), batch, seed + 37 * j)
       var round = 1
       def settled(b: WalkBatch): Boolean = {
-        val s = new WalkStats
-        b.samples.foreach(t => s.add(1.0 / t.p))
-        (0 until b.failures).foreach(_ => s.add(0.0))
+        val s = WalkStats.of(b)
         s.mean > 0 && s.ciHalfWidth(z) <= epsilon * s.mean
       }
       while (!settled(acc) && acc.requested < maxWalks) {
@@ -68,21 +65,19 @@ object WarmUp {
   }
 
   private def assemble(joins: Seq[JoinSpec], batches: IndexedSeq[WalkBatch]): RandomWalkWarmup = {
-    val n = joins.size
-    val stats = IndexedSeq.tabulate(n) { j =>
-      val s = new WalkStats
-      batches(j).samples.foreach(t => s.add(1.0 / t.p))
-      (0 until batches(j).failures).foreach(_ => s.add(0.0))
-      s
-    }
-    val memberships = (for {
-      j <- 0 until n
-      i <- 0 until n if i != j
-    } yield (j, i) -> WanderJoin.membership(joins(i), batches(j).samples)).toMap
-
-    RandomWalkWarmup(
-      paramsFrom(n, stats.map(_.mean), batches, memberships), batches, stats, memberships)
+    val stats = batches.map(WalkStats.of)
+    val memb = memberships(joins, batches)
+    RandomWalkWarmup(paramsFrom(joins.size, stats.map(_.mean), batches, memb), batches, stats, memb)
   }
+
+  /** Membership tables: `(j, i)` ↦ keys of join j's walk samples found in
+    * join i, for every ordered pair of distinct joins.
+    */
+  def memberships(joins: Seq[JoinSpec], batches: IndexedSeq[WalkBatch]): Map[(Int, Int), Set[String]] =
+    (for {
+      j <- joins.indices
+      i <- joins.indices if i != j
+    } yield (j, i) -> WanderJoin.membership(joins(i), batches(j).samples)).toMap
 
   /** Assemble UnionParams from walk-based sizes + membership tables —
     * shared by the warm-up and by Algorithm 2's backtracking updates.

@@ -12,7 +12,15 @@ import repro.core._
   */
 final case class JTuple(values: IndexedSeq[Any], p: Double) {
   /** Canonical identity of the tuple value u = t.val (Example 3). */
-  lazy val key: String = values.map(String.valueOf).mkString("␞")
+  lazy val key: String = JTuple.key(values)
+}
+
+object JTuple {
+  /** The key of a tuple value: its fields' string forms joined by `␞`. */
+  def key(values: Seq[Any]): String = values.map(String.valueOf).mkString("␞")
+
+  /** The key of a collected row holding exactly the canonical columns. */
+  def key(r: Row): String = key(r.toSeq)
 }
 
 /** A batch of walks: `requested` walks were started, `samples` succeeded
@@ -52,6 +60,16 @@ final class WalkStats {
   /** Half-width of the level-z confidence interval, z·σ/√n. */
   def ciHalfWidth(z: Double = 1.96): Double =
     if (n0 == 0) Double.PositiveInfinity else z * math.sqrt(variance / n0)
+}
+
+object WalkStats {
+  /** Statistics of a batch: a term 1/p per success, then a 0 per failure. */
+  def of(b: WalkBatch): WalkStats = {
+    val s = new WalkStats
+    b.samples.foreach(t => s.add(1.0 / t.p))
+    (0 until b.failures).foreach(_ => s.add(0.0))
+    s
+  }
 }
 
 /** Vectorized wander join (§6.1): a batch of W random walks over the join
@@ -120,8 +138,6 @@ object WanderJoin {
     val cands = spark.createDataFrame(rows, schema)
     val cols = canonCols(join)
     val kept = join.members(cands).select(cols.map(col): _*).collect()
-    kept.iterator.map { r =>
-      IndexedSeq.range(0, cols.size).map(r.get).map(String.valueOf).mkString("␞")
-    }.toSet
+    kept.iterator.map(JTuple.key).toSet
   }
 }

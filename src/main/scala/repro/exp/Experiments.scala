@@ -66,6 +66,10 @@ object Experiments {
     def error: Double = math.abs(estRatio - exactRatio)
   }
 
+  def printT1(title: String, rows: Seq[RatioErrorRow]): Unit =
+    printTable(title, Seq("overlap", "join", "exact |J|/|U|", "est |J|/|U|", "abs error"),
+      rows.map(r => Seq(f(r.overlap), r.join.toString, f(r.exactRatio), f(r.estRatio), f(r.error))))
+
   /** Error of the |J_i|/|U| ratios estimated by HISTOGRAM-BASED (join sizes
     * instantiated with the extended-Olken bound) vs FullJoinUnion truth.
     */
@@ -83,6 +87,11 @@ object Experiments {
   final case class EstRuntimeRow(workload: String, overlap: Double,
                                  histMs: Long, fullMs: Long,
                                  histUnion: Double, exactUnion: Double)
+
+  def printT2(title: String, rows: Seq[EstRuntimeRow]): Unit =
+    printTable(title, Seq("overlap", "HIST ms", "FULLJOIN ms", "HIST |U|", "exact |U|"),
+      rows.map(r => Seq(f(r.overlap), r.histMs.toString, r.fullMs.toString,
+        f(r.histUnion), f(r.exactUnion))))
 
   def t2EstimationRuntime(spark: SparkSession, name: String, sf: Double,
                           overlaps: Seq[Double]): Seq[EstRuntimeRow] =
@@ -104,6 +113,11 @@ object Experiments {
     def rwError: Double = math.abs(rwRatio - exactRatio)
   }
 
+  def printT3(title: String, rows: Seq[RatioCompareRow]): Unit =
+    printTable(title, Seq("join", "exact", "HIST est", "HIST err", "RW est", "RW err"),
+      rows.map(r => Seq(r.join.toString, f(r.exactRatio), f(r.histRatio),
+        f(r.histError), f(r.rwRatio), f(r.rwError))))
+
   def t3RatioErrorRw(spark: SparkSession, name: String, sf: Double, overlap: Double,
                      rwWalks: Int = 800, seed: Long = 42): Seq[RatioCompareRow] = {
     val w = workload(spark, name, sf, overlap)
@@ -119,6 +133,16 @@ object Experiments {
                             n: Int, warmupMs: Long, sampleMs: Long) {
     def totalMs: Long = warmupMs + sampleMs
   }
+
+  def printT4(title: String, rows: Seq[ScaleRow]): Unit =
+    printTable(title, Seq("sf", "method", "N", "warmup ms", "sample ms", "total ms"),
+      rows.map(r => Seq(f(r.sf), r.method, r.n.toString, r.warmupMs.toString,
+        r.sampleMs.toString, r.totalMs.toString)))
+
+  def printT5(title: String, rows: Seq[ScaleRow]): Unit =
+    printTable(title, Seq("method", "N", "warmup ms", "sample ms", "total ms"),
+      rows.map(r => Seq(r.method, r.n.toString, r.warmupMs.toString,
+        r.sampleMs.toString, r.totalMs.toString)))
 
   def t4ScaleData(spark: SparkSession, name: String, sfs: Seq[Double], overlap: Double,
                   methods: Seq[String], n: Int, seed: Long = 42): Seq[ScaleRow] =
@@ -151,6 +175,13 @@ object Experiments {
                                 accepted: Int, rejectedDup: Int, eoRejected: Int,
                                 walkFailures: Int)
 
+  def printT6(title: String, rows: Seq[BreakdownRow]): Unit =
+    printTable(title, Seq("method", "params ms", "accepted ms", "rejected ms",
+      "accepted", "dup-rej", "EO-rej", "walk-fail"),
+      rows.map(r => Seq(r.method, r.paramsMs.toString, r.acceptedMs.toString,
+        r.rejectedMs.toString, r.accepted.toString, r.rejectedDup.toString,
+        r.eoRejected.toString, r.walkFailures.toString)))
+
   def t6Breakdown(spark: SparkSession, name: String, sf: Double, overlap: Double,
                   methods: Seq[String], n: Int, seed: Long = 42): Seq[BreakdownRow] =
     methods.map { m =>
@@ -167,6 +198,11 @@ object Experiments {
   final case class ReuseRow(workload: String, n: Int, reuse: Boolean,
                             warmupMs: Long, sampleMs: Long, poolHits: Int,
                             walkAttempts: Int)
+
+  def printT7(title: String, rows: Seq[ReuseRow]): Unit =
+    printTable(title, Seq("reuse", "N", "warmup ms", "sample ms", "pool hits", "walk attempts"),
+      rows.map(r => Seq(r.reuse.toString, r.n.toString, r.warmupMs.toString,
+        r.sampleMs.toString, r.poolHits.toString, r.walkAttempts.toString)))
 
   def t7Reuse(spark: SparkSession, name: String, sf: Double, overlap: Double,
               ns: Seq[Int], rwWalks: Int = 600, seed: Long = 42): Seq[ReuseRow] = {
@@ -193,6 +229,10 @@ object Experiments {
   final case class PhaseRow(workload: String, regularMsPerSample: Double,
                             reuseMsPerSample: Double)
 
+  def printT8(title: String, rows: Seq[PhaseRow]): Unit =
+    printTable(title, Seq("workload", "regular ms/sample", "reuse ms/sample"),
+      rows.map(r => Seq(r.workload, f(r.regularMsPerSample), f(r.reuseMsPerSample))))
+
   def t8ReusePhase(spark: SparkSession, name: String, sf: Double, overlap: Double,
                    n: Int, rwWalks: Int = 600, seed: Long = 42): PhaseRow = {
     val w = workload(spark, name, sf, overlap)
@@ -209,7 +249,7 @@ object Experiments {
     val rn = sn.sample(n)
     val stn = rn.stats
     PhaseRow(name,
-      (stn.drawMs + stn.bookMs).toDouble / math.max(1, stn.accepted),
-      str.poolMs.toDouble / math.max(1, str.poolHits))
+      (stn.drawNs + stn.bookNs) / 1e6 / math.max(1, stn.accepted),
+      str.poolNs / 1e6 / math.max(1, str.poolHits))
   }
 }

@@ -61,12 +61,12 @@ object UnionWorkloads {
       concat(lit("O"), col("id")).as("o_comment")))
 
     val maskMax = (1 << nJoins) - 1
-    val sharedLine = spark.range(nShared).select(
+    val sharedLine = Rel.cached(spark.range(nShared).select(
       col("id").as("lineid"),
       (floor(rand(seed + 4) * nOrd) + 1).cast("long").as("orderkey"),
       (floor(rand(seed + 5) * 50) + 1).cast("long").as("l_qty"),
       lit("S").as("l_tag"),
-      (floor(rand(seed + 6) * maskMax) + 1).cast("int").as("__mask")).cache()
+      (floor(rand(seed + 6) * maskMax) + 1).cast("int").as("__mask")))
 
     val joins = (0 until nJoins).map { j =>
       val shared = sharedLine
@@ -113,10 +113,10 @@ object UnionWorkloads {
       (floor(rand(seed + 2) * nSupp) + 1).cast("long").as("suppkey"),
       (floor(rand(seed + 3) * nPart) + 1).cast("long").as("partkey"),
       (floor(rand(seed + 4) * 1000) + 1).cast("long").as("ps_avail")))
-    val part = spark.range(1, nPart + 1).select(
+    val part = Rel.cached(spark.range(1, nPart + 1).select(
       col("id").as("partkey"),
       (floor(rand(seed + 5) * 100) + 1).cast("long").as("p_size"),
-      concat(lit("P"), col("id")).as("p_comment")).cache()
+      concat(lit("P"), col("id")).as("p_comment")))
 
     val predicates: Seq[(String, DataFrame)] = Seq(
       "p1" -> part.filter(col("p_size") <= 60),
@@ -151,14 +151,14 @@ object UnionWorkloads {
     val nOrd = 6 * u
     val t = overlap / 3.0
 
-    val customer = spark.range(1, nCust + 1).select(
+    val customer = Rel.cached(spark.range(1, nCust + 1).select(
       col("id").as("custkey"),
       floor(rand(seed + 1) * 10).cast("long").as("nationkey"),
-      (floor(rand(seed + 2) * 10000) + 1).cast("long").as("acctbal")).cache()
-    val orders = spark.range(1, nOrd + 1).select(
+      (floor(rand(seed + 2) * 10000) + 1).cast("long").as("acctbal")))
+    val orders = Rel.cached(spark.range(1, nOrd + 1).select(
       col("id").as("oid"),
       (floor(rand(seed + 3) * nCust) + 1).cast("long").as("custkey"),
-      (floor(rand(seed + 4) * 1000) + 1).cast("long").as("totalprice")).cache()
+      (floor(rand(seed + 4) * 1000) + 1).cast("long").as("totalprice")))
 
     def hRange(lo: Double, hi: Double) =
       col("custkey") > math.max(0L, (nCust * lo).toLong) &&

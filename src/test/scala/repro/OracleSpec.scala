@@ -45,35 +45,3 @@ class OracleSpec extends SparkSpec {
   }
 }
 
-/** The provided SynthData generators (extended, not replaced, by the
-  * workload generators): determinism and schema sanity.
-  */
-class SynthDataSpec extends SparkSpec {
-
-  test("lineitem is deterministic in (sf, seed)") {
-    val a = SynthData.lineitem(spark, 0.002, seed = 3).agg(sum("l_orderkey")).head.getLong(0)
-    val b = SynthData.lineitem(spark, 0.002, seed = 3).agg(sum("l_orderkey")).head.getLong(0)
-    assert(a == b)
-  }
-
-  test("row counts scale with sf") {
-    assert(SynthData.orders(spark, 0.002).count() * 2 <= SynthData.orders(spark, 0.004).count() + 2)
-    assert(SynthData.customer(spark, 0.002).count() > 0)
-    assert(SynthData.part(spark, 0.002).count() > 0)
-  }
-
-  test("zipf keys are skewed; uniform keys are not") {
-    val z = SynthData.zipfKeys(spark, 20000, 1000, alpha = 1.2)
-      .groupBy("k").count().agg(max("count")).head.getLong(0)
-    val u = SynthData.uniformKeys(spark, 20000, 1000)
-      .groupBy("k").count().agg(max("count")).head.getLong(0)
-    assert(z > 3 * u, s"zipf max degree $z should dwarf uniform $u")
-  }
-
-  test("foreign keys land in the referenced domain") {
-    val o = SynthData.orders(spark, 0.002)
-    val nCust = SynthData.customer(spark, 0.002).count()
-    val bad = o.filter(col("o_custkey") < 1 || col("o_custkey") > nCust + 1).count()
-    assert(bad == 0)
-  }
-}

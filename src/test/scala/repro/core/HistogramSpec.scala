@@ -34,9 +34,6 @@ class HistogramSpec extends SparkSpec {
         "(SELECT custkey, count(*) AS deg FROM orders GROUP BY custkey)",
       "orders" -> orders.df)
     assert(DegreeStats.maxDegree(orders.df, "custkey") >= 1)
-    assert(DegreeStats.avgDegree(orders.df, "custkey") >= 1.0)
-    assert(DegreeStats.avgDegree(orders.df, "custkey") <=
-      DegreeStats.maxDegree(orders.df, "custkey").toDouble)
   }
 
   test("maxDegreeMulti on composite keys") {
@@ -103,27 +100,6 @@ class HistogramSpec extends SparkSpec {
       assert(est.joinSizes(j) >= fju.sizes(j).toDouble - 1e-6,
         s"join $j: ${est.joinSizes(j)} < ${fju.sizes(j)}")
     }
-  }
-
-  test("estimate()'s shared-scan fast path agrees with per-Δ overlapBound") {
-    val n = toy3.joins.size
-    val chains = toy3.joins.map(j => ChainForm.direct(j.asInstanceOf[ChainJoin]))
-    val slow = (1 to n).flatMap { k =>
-      (0 until n).combinations(k).map(idx =>
-        idx.toSet -> HistogramOverlap.overlapBound(idx.map(chains)))
-    }.toMap
-    val fast = HistogramOverlap.estimate(toy3.joins).overlaps
-    val slowM = HistogramOverlap.monotonize(n, slow)
-    slowM.foreach { case (d, v) =>
-      assert(math.abs(fast(d) - v) < 1e-6, s"Δ=$d: fast ${fast(d)} vs slow $v")
-    }
-  }
-
-  test("refined (avg-degree) bound is no larger than the max-degree bound") {
-    val chains = uq1.joins.map(j => ChainForm.direct(j.asInstanceOf[ChainJoin]))
-    val maxB = HistogramOverlap.overlapBound(chains)
-    val avgB = HistogramOverlap.overlapBound(chains, refined = true)
-    assert(avgB <= maxB + 1e-6)
   }
 
   // ---- §8.1 templates -----------------------------------------------------

@@ -54,8 +54,7 @@ class JoinModelSpec extends SparkSpec {
     val j1 = toy.joins(1)
     val cols = WanderJoin.canonCols(j0)
     def keysOf(j: JoinSpec): Set[String] =
-      j.fullJoin.select(cols.map(col): _*).collect().map(r =>
-        IndexedSeq.range(0, cols.size).map(r.get).map(String.valueOf).mkString("␞")).toSet
+      j.fullJoin.select(cols.map(col): _*).collect().map(JTuple.key).toSet
     val k0 = keysOf(j0)
     val k1 = keysOf(j1)
     val t0 = j0.fullJoin.select(cols.map(col): _*).collect().map(r =>

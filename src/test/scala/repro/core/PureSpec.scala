@@ -4,10 +4,11 @@ import org.scalacheck.Gen
 import org.scalatest.funsuite.AnyFunSuite
 import repro.PropHelpers
 import repro.core.histogram.HistogramOverlap
+import repro.core.union.{CoverBook, UnionStats}
 import repro.core.walk.{JTuple, WalkBatch, WalkStats}
 
 /** Spark-free properties: JTuple identity, WalkBatch estimators,
-  * UnionParams algebra, monotonize.
+  * UnionParams algebra, monotonize, cover bookkeeping.
   */
 class PureSpec extends AnyFunSuite with PropHelpers {
 
@@ -39,6 +40,39 @@ class PureSpec extends AnyFunSuite with PropHelpers {
     ts.foreach(t => s.add(1.0 / t.p))
     (0 until 2).foreach(_ => s.add(0.0))
     assert(math.abs(s.mean - wb.sizeEstimate) < 1e-12)
+  }
+
+  test("CoverBook: new key, same-owner copy, later duplicate, revision") {
+    val stats = new UnionStats
+    val book = new CoverBook(stats)
+    val a = JTuple(IndexedSeq("a"), 0.5)
+    val b = JTuple(IndexedSeq("b"), 0.5)
+    assert(book.offer(a, 1))  // new key: join 1 owns a
+    assert(book.offer(a, 1))  // same-owner copy
+    assert(book.offer(b, 0))  // new key: join 0 owns b
+    assert(!book.offer(b, 1)) // b drawn from a later join: rejected
+    assert(book.tuples.map { case (t, j) => (t.key, j) } ==
+      Seq(a.key -> 1, a.key -> 1, b.key -> 0))
+    assert(book.offer(a, 0))  // revision: both copies under join 1 go
+    assert(book.tuples.map { case (t, j) => (t.key, j) } == Seq(b.key -> 0, a.key -> 0))
+    assert(book.owners == Map(a.key -> 0, b.key -> 0))
+    assert(stats.accepted == 4 && stats.rejectedDup == 1)
+    assert(stats.revisions == 1 && stats.revisionRemoved == 2)
+  }
+
+  test("CoverBook: retain keeps owners; redraw gives up after MaxRedraws") {
+    val stats = new UnionStats
+    val book = new CoverBook(stats)
+    val a = JTuple(IndexedSeq("a"), 0.5)
+    val b = JTuple(IndexedSeq("b"), 0.5)
+    book.offer(a, 0); book.offer(b, 1)
+    assert(book.retain(_._2 == 0) == 1)
+    assert(book.size == 1 && book.owners == Map(a.key -> 0, b.key -> 1))
+    assert(!book.redraw(1)(a)) // a is owned by the earlier join 0
+    assert(stats.rejectedDup == CoverBook.MaxRedraws)
+    assert(book.redraw(1)(b) && book.size == 2)
+    assert(CoverBook.pick(IndexedSeq(0.25, 0.75, 0.999), 0.5) == 1)
+    assert(CoverBook.pick(IndexedSeq(0.25, 0.75, 0.999), 0.9995) == 2)
   }
 
   private val paramGen: Gen[UnionParams] = for {

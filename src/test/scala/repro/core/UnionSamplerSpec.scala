@@ -2,6 +2,7 @@ package repro.core
 
 import repro.{SparkSpec, ToyData}
 import repro.core.union._
+import repro.core.walk.JTuple
 import repro.workloads.UnionWorkloads
 
 /** Algorithm 1 — set-union sampling. Uniformity is verified with exact
@@ -50,8 +51,7 @@ class UnionSamplerSpec extends SparkSpec {
   test("overlap tuples are owned by the earliest cover join") {
     val fju = new FullJoinUnion(toy.joins)
     val res = UnionSampler(toy.joins, fju.params, "EW", seed = 4).sample(2000)
-    val overlapKeys = fju.joinDfs.reduceLeft(_ intersect _).collect().map(r =>
-      IndexedSeq.range(0, fju.cols.size).map(r.get).map(String.valueOf).mkString("␞")).toSet
+    val overlapKeys = fju.joinDfs.reduceLeft(_ intersect _).collect().map(JTuple.key).toSet
     // after full bookkeeping, every overlap tuple kept must be attributed to J0
     res.tuples.filter { case (t, _) => overlapKeys.contains(t.key) }.foreach {
       case (_, j) => assert(j == 0, "overlap tuple attributed to a later join survived")
@@ -94,6 +94,7 @@ class UnionSamplerSpec extends SparkSpec {
     // buffered draws may leave unconsumed tuples behind
     assert(st.joinDraws >= st.accepted + st.rejectedDup)
     assert(st.acceptedMs + st.rejectedMs == st.drawMs + st.bookMs)
+    assert(st.bookNs > 0)
     assert(st.revisionRemoved >= 0 && st.revisions >= 0)
   }
 
@@ -115,8 +116,7 @@ class UnionSamplerSpec extends SparkSpec {
     // each of the 24 (J0 ⊎ J1) tuple slots has probability 1/24; the 8
     // overlap values appear twice → expected frequency 2/24.
     val counts = res.groupBy(_._1.key).map { case (k, v) => k -> v.size }
-    val overlap = fju.joinDfs.reduceLeft(_ intersect _).collect().map(r =>
-      IndexedSeq.range(0, fju.cols.size).map(r.get).map(String.valueOf).mkString("␞")).toSet
+    val overlap = fju.joinDfs.reduceLeft(_ intersect _).collect().map(JTuple.key).toSet
     val expOverlap = 2.0 * n / 24
     val expPrivate = 1.0 * n / 24
     counts.foreach { case (k, c) =>
