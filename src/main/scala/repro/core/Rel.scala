@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import org.apache.spark.storage.StorageLevel
@@ -38,13 +38,29 @@ final case class Rel(name: String, raw: DataFrame) {
     d.count()
     d
   }
+
+  /** The rows on the driver, in `indexed`'s id order (row i has `__rid`
+    * i), collected once for driver-side indexes. One Spark job: a sort of
+    * one partition by all columns, the order `indexed` numbers rows by.
+    * Fails for a relation of more than [[Rel.MaxDriverRows]] rows.
+    */
+  lazy val rows: Array[Row] = {
+    val got = df.coalesce(1).sortWithinPartitions(cols.map(col): _*)
+      .limit(Rel.MaxDriverRows + 1).collect()
+    require(got.length <= Rel.MaxDriverRows,
+      s"relation $name has $count rows, above the ${Rel.MaxDriverRows}-row limit of a driver-side index")
+    got
+  }
 }
 
 object Rel {
+  /** The most rows [[Rel.rows]] collects to the driver. */
+  val MaxDriverRows: Int = 1 << 20
+
   /** `df` marked for caching, unless its plan is cached already: frames
-    * rebuilt with the same plan (a workload generated again, a second
-    * sampler over the same join) share one cache entry, and caching it
-    * again only logs a warning.
+    * rebuilt with the same plan (a workload generated again, the ground
+    * truth of the same joins) share one cache entry, and caching it again
+    * only logs a warning.
     */
   def cached(df: DataFrame): DataFrame =
     if (df.storageLevel == StorageLevel.NONE) df.cache() else df

@@ -1,12 +1,11 @@
 package repro.core.join
 
-import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.{LongType, StructField, StructType}
+import org.apache.spark.sql.Row
 import repro.core._
 import repro.core.stats.DegreeStats
-import repro.core.walk.{JTuple, WalkBatch, WanderJoin}
+import repro.core.walk.{JTuple, WanderJoin}
+
+import scala.collection.mutable.ArrayBuffer
 
 /** Per-draw accounting of a single-join sampler, consumed by the union
   * sampler's time-breakdown experiment and by the reuse pools: how many
@@ -37,12 +36,16 @@ trait JoinTupleSampler {
 
 /** EW — exact weights (Zhao et al.'s ground-truth instantiation).
   *
-  * Bottom-up DP over the join tree computes, per tuple, the exact number
-  * of join results it roots (`__w`): a leaf weighs 1; an inner tuple
-  * weighs the product over child edges of the sum of joinable child
-  * weights. All DP steps are DataFrame aggregations + joins. The total
-  * root weight equals |J| exactly, and top-down weighted sampling draws
-  * uniform join tuples with zero rejection.
+  * A driver-side index, built once: every relation of the join tree as
+  * its [[Rel.rows]]. The bottom-up DP gives every row the exact number of
+  * join results it roots: a leaf row weighs 1; an inner row weighs the
+  * product over child edges of the total weight of its joinable child
+  * rows. Every edge maps a child join key to that key's positive-weight
+  * child rows and their prefix sums ([[ExactWeightSampler.Cdf]]). The
+  * total root weight is |J| exactly, and a draw descends top-down — a
+  * binary search on the root CDF, then one inside the parent's key group
+  * on every edge — so it is uniform, has zero rejection and runs no Spark
+  * job.
   */
 final class ExactWeightSampler(val join: JoinSpec) extends JoinTupleSampler {
   import ExactWeightSampler._
@@ -53,113 +56,114 @@ final class ExactWeightSampler(val join: JoinSpec) extends JoinTupleSampler {
         "trees derived from cyclic joins must use the EO/walk sampler")
   }
 
-  private val wroot: WNode = weigh(join.root)
+  private lazy val index: Index = Index(join)
 
   /** Σ root weights — exactly |J|. */
-  lazy val totalWeight: Double = {
-    val r = wroot.wdf.agg(sum("__w")).head
-    if (r.isNullAt(0)) 0.0 else r.getDouble(0)
-  }
+  lazy val totalWeight: Double = index.root.total
 
   /** p(t) of every returned tuple: uniform 1/|J|. */
   def tupleProbability: Double = if (totalWeight == 0) 0.0 else 1.0 / totalWeight
 
-  /** Root ids and cumulative weights, collected once (ids + weights only —
-    * never the relation payload).
-    */
-  private lazy val rootCdf: (Array[Long], Array[Double]) = {
-    val rows = wroot.wdf.filter(col("__w") > 0).select("__rid", "__w")
-      .orderBy("__rid").collect()
-    val ids = rows.map(_.getLong(0))
-    val cum = new Array[Double](rows.length)
-    var acc = 0.0
-    var i = 0
-    while (i < rows.length) { acc += rows(i).getDouble(1); cum(i) = acc; i += 1 }
-    (ids, cum)
-  }
-
-  def prepare(): Unit = { totalWeight; if (totalWeight > 0) rootCdf; () }
+  def prepare(): Unit = { index; () }
 
   def sample(n: Int, seed: Long): (IndexedSeq[JTuple], DrawStats) = {
     if (n == 0 || totalWeight == 0) return (IndexedSeq.empty, DrawStats(0, 0, 0))
-    val got = scala.collection.mutable.ArrayBuffer.empty[JTuple]
-    var attempt = 0
-    // The windowed weighted pick can (with ~1e-12 probability) lose a walk
-    // to floating-point edge effects; top up until n are drawn.
-    while (got.size < n && attempt < 8) {
-      got ++= sampleOnce(n - got.size, seed + 7919L * attempt)
-      attempt += 1
-    }
-    require(got.size == n, s"EW sampler lost walks persistently (${got.size}/$n)")
-    (got.toIndexedSeq, DrawStats(n, 0, 0))
-  }
-
-  private def sampleOnce(n: Int, seed: Long): IndexedSeq[JTuple] = {
-    val spark = join.root.rel.df.sparkSession
-    val (ids, cum) = rootCdf
+    val ix = index
     val rng = new java.util.Random(seed)
-    val total = cum.last
-    val chosen = Array.fill(n) {
-      val u = rng.nextDouble() * total
-      var lo = 0; var hi = cum.length - 1
-      while (lo < hi) { val mid = (lo + hi) / 2; if (cum(mid) > u) hi = mid else lo = mid + 1 }
-      ids(lo)
-    }
-    val rows: java.util.List[Row] = new java.util.ArrayList[Row]()
-    chosen.zipWithIndex.foreach { case (rid, w) => rows.add(Row(w.toLong, rid)) }
-    val schema = StructType(Seq(StructField("__wid", LongType), StructField("__rid", LongType)))
-    var frontier = spark.createDataFrame(rows, schema)
-      .join(wroot.wdf, "__rid").drop("__rid", "__w")
-    val edges = wroot.allEdges
-    edges.zipWithIndex.foreach { case (_, k) =>
-      frontier = frontier.withColumn(s"__u$k", rand(seed + 31 * k) * (1 - 1e-12))
-    }
-    frontier = frontier.cache()
-    frontier.count()
-
-    edges.zipWithIndex.foreach { case ((edge, child), k) =>
-      val cw = child.wdf.filter(col("__w") > 0).withColumnRenamed("__rid", "__crid")
-      val joined = frontier.join(cw, edge.attrs)
-      val wsp = Window.partitionBy("__wid")
-      val cum = sum("__w").over(wsp.orderBy("__crid")
-        .rowsBetween(Window.unboundedPreceding, Window.currentRow))
-      val tot = sum("__w").over(wsp)
-      frontier = joined
-        .withColumn("__cum", cum)
-        .withColumn("__tgt", col(s"__u$k") * tot)
-        .filter(col("__cum") > col("__tgt"))
-        .withColumn("__rn", row_number().over(wsp.orderBy("__crid")))
-        .filter(col("__rn") === 1)
-        .drop("__cum", "__tgt", "__rn", "__w", "__crid")
-    }
-    val cols = WanderJoin.canonCols(join)
-    val out = frontier.select(cols.map(col): _*).collect()
     val p = tupleProbability
-    out.iterator.map(r => JTuple(IndexedSeq.range(0, cols.size).map(r.get), p)).toIndexedSeq
-  }
-
-  private def weigh(t: JoinTree): WNode = {
-    val kids = t.children.map(e => (e, weigh(e.child)))
-    var df = t.rel.indexed
-    kids.zipWithIndex.foreach { case ((e, kid), i) =>
-      val agg = kid.wdf.groupBy(e.attrs.map(col): _*).agg(sum("__w").as(s"__s$i"))
-      df = df.join(agg, e.attrs, "left")
-        .withColumn(s"__s$i", coalesce(col(s"__s$i"), lit(0.0)))
+    val picked = new Array[Int](ix.rows.size) // row id per node, pre-order
+    val out = IndexedSeq.fill(n) {
+      picked(0) = ix.root.pick(rng.nextDouble() * ix.root.total)
+      ix.edges.foreach { e =>
+        val g = e.groups(picked(e.parent))
+        picked(e.child) = g.pick(rng.nextDouble() * g.total)
+      }
+      JTuple(ix.out.map { case (node, c) => ix.rows(node)(picked(node)).get(c) }, p)
     }
-    val w =
-      if (kids.isEmpty) lit(1.0)
-      else kids.indices.map(i => col(s"__s$i")).reduceLeft(_ * _)
-    val wdf = Rel.cached(df.withColumn("__w", w).drop(kids.indices.map(i => s"__s$i"): _*))
-    wdf.count()
-    WNode(wdf, kids)
+    (out, DrawStats(n, 0, 0))
   }
 }
 
 object ExactWeightSampler {
-  private[join] final case class WNode(wdf: DataFrame, children: Seq[(JoinEdge, WNode)]) {
-    /** (edge, child WNode) in the same pre-order the walks use. */
-    def allEdges: Seq[(JoinEdge, WNode)] =
-      children.flatMap { case (e, c) => (e, c) +: c.allEdges }
+
+  /** The positive-weight entries among `ids`, with their prefix sums. A
+    * weighted pick is a binary search. Zero weights are left out, so no
+    * pick lands on one, not even when round-off puts `u` at the total.
+    */
+  final class Cdf(ids: Array[Int], weight: Array[Double]) {
+    private val kept = ids.filter(weight(_) > 0)
+    private val cum = kept.map(weight).scanLeft(0.0)(_ + _).tail
+
+    def total: Double = if (cum.isEmpty) 0.0 else cum.last
+
+    /** The entry whose cumulative weight first exceeds `u` (the last entry
+      * when `u` is at or above the total).
+      */
+    def pick(u: Double): Int = {
+      var lo = 0
+      var hi = cum.length - 1
+      while (lo < hi) { val mid = (lo + hi) >>> 1; if (cum(mid) > u) hi = mid else lo = mid + 1 }
+      kept(lo)
+    }
+  }
+
+  /** Edge `parent → child` (node numbers in pre-order): `groups(r)` is the
+    * key group of parent row r among the child's rows, or null when no
+    * positive-weight child row joins it.
+    */
+  private final class Edge(val parent: Int, val child: Int, val groups: Array[Cdf])
+
+  /** The driver-side index of a join: rows per node in pre-order, the root
+    * CDF, the edges in pre-order and, per canonical output column, the
+    * (node, column) it is read from.
+    */
+  private final class Index(val rows: IndexedSeq[Array[Row]], val root: Cdf,
+                            val edges: IndexedSeq[Edge], val out: IndexedSeq[(Int, Int)])
+
+  private object Index {
+    def apply(join: JoinSpec): Index = {
+      val rows = ArrayBuffer.empty[Array[Row]]
+      val cols = ArrayBuffer.empty[Seq[String]]
+      val edges = ArrayBuffer.empty[Edge]
+
+      // Bottom-up DP. Nodes are numbered in pre-order, and an edge sorts
+      // by its child, so sorted edges are in pre-order too.
+      def weigh(t: JoinTree): Array[Double] = {
+        val me = rows.size
+        val rs = t.rel.rows
+        rows += rs; cols += t.rel.cols
+        val w = Array.fill(rs.length)(1.0)
+        t.children.foreach { e =>
+          val child = rows.size
+          val cw = weigh(e.child)
+          val cAt = e.attrs.map(cols(child).indexOf)
+          val byKey = rows(child).indices.filter(cw(_) > 0)
+            .groupBy(r => key(rows(child)(r), cAt))
+            .collect { case (k, ids) if k != null => k -> new Cdf(ids.toArray, cw) }
+          val pAt = e.attrs.map(t.rel.cols.indexOf)
+          val groups = rs.map(r => byKey.getOrElse(key(r, pAt), null))
+          edges += new Edge(me, child, groups)
+          w.indices.foreach(r => w(r) *= (if (groups(r) == null) 0.0 else groups(r).total))
+        }
+        w
+      }
+
+      val w = weigh(join.root)
+      val out = WanderJoin.canonCols(join).map { c =>
+        val node = cols.indexWhere(_.contains(c))
+        (node, cols(node).indexOf(c))
+      }
+      new Index(rows.toIndexedSeq, new Cdf(w.indices.toArray, w),
+        edges.sortBy(_.child).toIndexedSeq, out.toIndexedSeq)
+    }
+
+    /** A row's join key on columns `at`; null when a value is null, since
+      * an equi-join never matches null.
+      */
+    private def key(r: Row, at: Seq[Int]): Any =
+      if (at.exists(r.isNullAt)) null
+      else if (at.size == 1) r.get(at.head)
+      else at.map(r.get)
   }
 
   private def parentOf(root: JoinTree, edge: JoinEdge): JoinTree = {

@@ -45,7 +45,8 @@ final class CoverBook(stats: UnionStats) {
 
   /** Offer draws of join `j` until one is accepted. Gives up after
     * [[CoverBook.MaxRedraws]] rejections, since an estimated-positive cover
-    * can be truly empty, and lets the caller reselect a join.
+    * can be truly empty, and lets the caller reselect a join. A give-up is
+    * counted in `redrawGiveUps`.
     */
   def redraw(j: Int)(draw: => JTuple): Boolean = {
     var accepted = false
@@ -57,6 +58,7 @@ final class CoverBook(stats: UnionStats) {
       accepted = offer(t, j)
       stats.bookNs += System.nanoTime() - t0
     }
+    if (!accepted) stats.redrawGiveUps += 1
     accepted
   }
 

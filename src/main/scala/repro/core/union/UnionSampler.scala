@@ -19,6 +19,7 @@ class UnionStats {
   var walkAttempts: Int = 0
   var walkFailures: Int = 0
   var eoRejected: Int = 0         // walk tuples rejected by the Olken test
+  var redrawGiveUps: Int = 0      // redraw loops that hit CoverBook.MaxRedraws
 
   def drawMs: Long = drawNs / 1000000
   def bookMs: Long = bookNs / 1000000

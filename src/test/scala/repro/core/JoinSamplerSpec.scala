@@ -1,6 +1,7 @@
 package repro.core
 
-import repro.{SparkSpec, ToyData}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import repro.{ChiSquare, SparkSpec, ToyData}
 import repro.core.join._
 import repro.core.union.FullJoinUnion
 import repro.core.walk.WanderJoin
@@ -16,14 +17,6 @@ class JoinSamplerSpec extends SparkSpec {
   private lazy val toy = ToyData.toyUnion(spark)
   private lazy val uq1 = UnionWorkloads.uq1(spark, sf = 0.004, overlap = 0.3)
   private lazy val uq3 = UnionWorkloads.uq3(spark, sf = 0.004)
-
-  /** Pearson chi-square statistic of observed counts vs uniform. */
-  private def chiSquare(counts: Map[String, Int], support: Int, total: Int): Double = {
-    val exp = total.toDouble / support
-    val observedStat = counts.values.map(c => (c - exp) * (c - exp) / exp).sum
-    val unseen = support - counts.size
-    observedStat + unseen * exp
-  }
 
   test("EW total weight equals |J| exactly (toy + UQ1 + star)") {
     assert(new ExactWeightSampler(toy.joins(0)).totalWeight == 12.0)
@@ -50,7 +43,7 @@ class JoinSamplerSpec extends SparkSpec {
     val n = 3000
     val (ts, _) = new ExactWeightSampler(j).sample(n, seed = 2)
     val counts = ts.groupBy(_.key).map { case (k, v) => k -> v.size }
-    val chi = chiSquare(counts, 12, n)
+    val chi = ChiSquare.statistic(counts, 12, n)
     // df = 11; χ²_{0.999,11} ≈ 31.3 — generous but catches systematic bias
     assert(chi < 35.0, s"chi-square $chi over counts $counts")
   }
@@ -62,7 +55,7 @@ class JoinSamplerSpec extends SparkSpec {
     val (ts, _) = new ExactWeightSampler(star).sample(n, seed = 3)
     val counts = ts.groupBy(_.key).map { case (k, v) => k -> v.size }
     assert(counts.size <= size)
-    val chi = chiSquare(counts, size, n)
+    val chi = ChiSquare.statistic(counts, size, n)
     val dfree = size - 1
     assert(chi < dfree + 5 * math.sqrt(2.0 * dfree) + 10, s"chi-square $chi, support $size")
   }
@@ -73,6 +66,56 @@ class JoinSamplerSpec extends SparkSpec {
     val kIdx = WanderJoin.canonCols(j).indexOf("k")
     val (ts, _) = new ExactWeightSampler(j).sample(400, seed = 4)
     assert(ts.forall(_.values(kIdx).asInstanceOf[Long] <= 12))
+  }
+
+  test("EW draws depend on the data, not its partitioning") {
+    val j = uq1.joins.head.asInstanceOf[ChainJoin]
+    val s = new ExactWeightSampler(j)
+    val first = s.sample(300, seed = 12)._1
+    assert(s.sample(300, seed = 12)._1 == first)
+    val repartitioned = j.copy(rels = j.rels.map(r => Rel(r.name, r.df.repartition(7))))
+    assert(new ExactWeightSampler(repartitioned).sample(300, seed = 12)._1 == first)
+  }
+
+  test("after prepare(), EW draws start no Spark job") {
+    val s = new ExactWeightSampler(uq1.joins.head)
+    s.prepare()
+    val sc = spark.sparkContext
+    val groups = new java.util.concurrent.ConcurrentLinkedQueue[String]()
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        groups.add(Option(e.properties).flatMap(p => Option(p.getProperty("spark.jobGroup.id")))
+          .getOrElse(""))
+    }
+    sc.addSparkListener(listener)
+    try {
+      assert(s.sample(2000, seed = 13)._1.size == 2000)
+      // Listener events arrive in order: once the marker job is seen, every
+      // job started before it has been seen too.
+      sc.setJobGroup("marker", "marker")
+      sc.parallelize(Seq(1), 1).count()
+      sc.clearJobGroup()
+      val deadline = System.nanoTime() + 60L * 1000000000L
+      while (!groups.contains("marker") && System.nanoTime() < deadline) Thread.sleep(10)
+      assert(groups.contains("marker"))
+      assert(groups.size == 1, s"sampling started ${groups.size - 1} Spark jobs")
+    } finally sc.removeSparkListener(listener)
+  }
+
+  test("EW is uniform on every UQ1 join (chi-square at the 0.999 quantile)") {
+    uq1.joins.zipWithIndex.foreach { case (j, i) =>
+      val keys = new FullJoinUnion(Seq(j)).unionKeys
+      val s = new ExactWeightSampler(j)
+      val size = s.totalWeight.toInt
+      assert(size == keys.size)
+      val n = 20 * size
+      val (ts, _) = s.sample(n, seed = 14 + i)
+      assert(ts.forall(t => keys.contains(t.key)), s"${j.name}: a draw outside the join")
+      val counts = ts.groupBy(_.key).map { case (k, v) => k -> v.size }
+      val chi = ChiSquare.statistic(counts, size, n)
+      val bound = ChiSquare.quantile999(size - 1)
+      assert(chi < bound, s"${j.name}: chi-square $chi over $size tuples, bound $bound")
+    }
   }
 
   test("EW rejects trees derived from cyclic joins") {
@@ -105,7 +148,7 @@ class JoinSamplerSpec extends SparkSpec {
     val n = 3000
     val (ts, _) = new OlkenSampler(j).sample(n, seed = 6)
     val counts = ts.groupBy(_.key).map { case (k, v) => k -> v.size }
-    val chi = chiSquare(counts, 12, n)
+    val chi = ChiSquare.statistic(counts, 12, n)
     assert(chi < 35.0, s"chi-square $chi over counts $counts")
   }
 
@@ -117,7 +160,7 @@ class JoinSamplerSpec extends SparkSpec {
     val keys = new FullJoinUnion(Seq(tri)).unionKeys
     assert(ts.forall(t => keys.contains(t.key)))
     val counts = ts.groupBy(_.key).map { case (k, v) => k -> v.size }
-    val chi = chiSquare(counts, size, n)
+    val chi = ChiSquare.statistic(counts, size, n)
     val dfree = size - 1
     assert(chi < dfree + 5 * math.sqrt(2.0 * dfree) + 10, s"chi-square $chi, support $size")
   }

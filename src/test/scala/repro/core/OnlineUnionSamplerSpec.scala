@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.{SparkSpec, ToyData}
+import repro.{ChiSquare, SparkSpec, ToyData}
 import repro.core.union._
 import repro.workloads.UnionWorkloads
 
@@ -9,11 +9,6 @@ class OnlineUnionSamplerSpec extends SparkSpec {
 
   private lazy val toy = ToyData.toyUnion(spark)
   private lazy val uq1 = UnionWorkloads.uq1(spark, sf = 0.004, overlap = 0.3)
-
-  private def chiSquare(counts: Map[String, Int], support: Int, total: Int): Double = {
-    val exp = total.toDouble / support
-    counts.values.map(c => (c - exp) * (c - exp) / exp).sum + (support - counts.size) * exp
-  }
 
   test("samples lie in the union; pools are actually consumed") {
     val warm = WarmUp.randomWalk(toy.joins, walksPerJoin = 600, seed = 1)
@@ -35,7 +30,7 @@ class OnlineUnionSamplerSpec extends SparkSpec {
     val n = 4000
     val res = s.sample(n)
     val counts = res.tuples.groupBy(_._1.key).map { case (k, v) => k -> v.size }
-    val chi = chiSquare(counts, 16, n)
+    val chi = ChiSquare.statistic(counts, 16, n)
     // reuse acceptance uses estimated |J_j|; allow a wider band than Alg 1
     assert(chi < 80.0, s"chi-square $chi over $counts")
   }

@@ -4,6 +4,7 @@ import org.scalacheck.Gen
 import org.scalatest.funsuite.AnyFunSuite
 import repro.PropHelpers
 import repro.core.histogram.HistogramOverlap
+import repro.core.join.ExactWeightSampler
 import repro.core.union.{CoverBook, UnionStats}
 import repro.core.walk.{JTuple, WalkBatch, WalkStats}
 
@@ -73,6 +74,26 @@ class PureSpec extends AnyFunSuite with PropHelpers {
     assert(book.redraw(1)(b) && book.size == 2)
     assert(CoverBook.pick(IndexedSeq(0.25, 0.75, 0.999), 0.5) == 1)
     assert(CoverBook.pick(IndexedSeq(0.25, 0.75, 0.999), 0.9995) == 2)
+  }
+
+  test("CoverBook: a redraw that gives up is counted") {
+    val stats = new UnionStats
+    val book = new CoverBook(stats)
+    val a = JTuple(IndexedSeq("a"), 0.5)
+    book.offer(a, 0)
+    assert(!book.redraw(1)(a)) // every draw is owned by the earlier join 0
+    assert(stats.redrawGiveUps == 1)
+    assert(book.redraw(0)(a) && stats.redrawGiveUps == 1)
+  }
+
+  test("EW Cdf: u at the total picks the last positive entry; zero weights never") {
+    val w = Array(0.0, 2.0, 0.0, 3.0, 0.0)
+    val cdf = new ExactWeightSampler.Cdf(w.indices.toArray, w)
+    assert(cdf.total == 5.0)
+    assert(cdf.pick(cdf.total) == 3)
+    assert(cdf.pick(0.0) == 1 && cdf.pick(1.999) == 1 && cdf.pick(2.0) == 3)
+    (0 to 1000).foreach(i => assert(w(cdf.pick(cdf.total * i / 1000)) > 0))
+    assert(new ExactWeightSampler.Cdf(Array(4, 2), Array(0, 0, 1.0, 0, 1.0)).pick(2.0) == 2)
   }
 
   private val paramGen: Gen[UnionParams] = for {

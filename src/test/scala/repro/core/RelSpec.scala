@@ -41,6 +41,16 @@ class RelSpec extends SparkSpec {
     assert(mk(3).cols == Seq("k", "v"))
   }
 
+  test("rows follow indexed's ids") {
+    import spark.implicits._
+    val strs = Rel("s", Seq[(String, Long)](("b", 2L), ("a", 3L), (null, 5L), ("a", 1L), ("ab", 0L))
+      .toDF("s", "n").repartition(3))
+    Seq(mk(25), strs).foreach { r =>
+      val byId = r.indexed.orderBy("__rid").drop("__rid").collect().toSeq
+      assert(r.rows.toSeq == byId)
+    }
+  }
+
   test("indexed does not disturb the data") {
     val r = mk(12)
     assert(r.indexed.drop("__rid").except(r.df).count() == 0)

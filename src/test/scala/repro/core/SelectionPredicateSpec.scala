@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.{SparkSpec, ToyData}
+import repro.{ChiSquare, SparkSpec, ToyData}
 import repro.core.join.OlkenSampler
 import repro.core.union.FullJoinUnion
 import repro.core.walk.WanderJoin
@@ -12,11 +12,6 @@ import repro.workloads.UnionWorkloads
 class SelectionPredicateSpec extends SparkSpec {
 
   private lazy val toy = ToyData.toyUnion(spark)
-
-  private def chiSquare(counts: Map[String, Int], support: Int, total: Int): Double = {
-    val exp = total.toDouble / support
-    counts.values.map(c => (c - exp) * (c - exp) / exp).sum + (support - counts.size) * exp
-  }
 
   test("push-down: UQ2 predicates shrink the part relation before joining") {
     val w = UnionWorkloads.uq2(spark, sf = 0.003)
@@ -41,7 +36,7 @@ class SelectionPredicateSpec extends SparkSpec {
     // σ(J) = keys 1..6: 1..4 appear twice (two payloads), 5..6 once → 10 tuples
     val counts = ts.groupBy(_.key).map { case (k, v) => k -> v.size }
     assert(counts.size <= 10)
-    val chi = chiSquare(counts, 10, n)
+    val chi = ChiSquare.statistic(counts, 10, n)
     assert(chi < 32.0, s"chi-square $chi") // df = 9; χ²_{0.999,9} ≈ 27.9
     assert(ds.rejected > 0, "non-matching tuples must be rejected")
   }

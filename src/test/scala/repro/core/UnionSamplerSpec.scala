@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.{SparkSpec, ToyData}
+import repro.{ChiSquare, SparkSpec, ToyData}
 import repro.core.union._
 import repro.core.walk.JTuple
 import repro.workloads.UnionWorkloads
@@ -16,11 +16,6 @@ class UnionSamplerSpec extends SparkSpec {
   private lazy val toy3 = ToyData.toyUnion3(spark)
   private lazy val uq1 = UnionWorkloads.uq1(spark, sf = 0.004, overlap = 0.3)
 
-  private def chiSquare(counts: Map[String, Int], support: Int, total: Int): Double = {
-    val exp = total.toDouble / support
-    counts.values.map(c => (c - exp) * (c - exp) / exp).sum + (support - counts.size) * exp
-  }
-
   test("samples lie in the union (EW, exact params)") {
     val fju = new FullJoinUnion(toy.joins)
     val s = UnionSampler(toy.joins, fju.params, "EW", seed = 1)
@@ -34,7 +29,7 @@ class UnionSamplerSpec extends SparkSpec {
     val n = 4000
     val res = UnionSampler(toy.joins, fju.params, "EW", seed = 2).sample(n)
     val counts = res.tuples.groupBy(_._1.key).map { case (k, v) => k -> v.size }
-    val chi = chiSquare(counts, 16, n)
+    val chi = ChiSquare.statistic(counts, 16, n)
     // df = 15; χ²_{0.999,15} ≈ 37.7
     assert(chi < 42.0, s"chi-square $chi over $counts")
   }
@@ -44,8 +39,21 @@ class UnionSamplerSpec extends SparkSpec {
     val n = 6000
     val res = UnionSampler(toy3.joins, fju.params, "EW", seed = 3).sample(n)
     val counts = res.tuples.groupBy(_._1.key).map { case (k, v) => k -> v.size }
-    val chi = chiSquare(counts, 24, n)
+    val chi = ChiSquare.statistic(counts, 24, n)
     assert(chi < 55.0, s"chi-square $chi") // df = 23; χ²_{0.999,23} ≈ 49.7
+  }
+
+  test("Alg. 1 with exact parameters and EW is uniform over the UQ1 union (0.999 quantile)") {
+    val fju = new FullJoinUnion(uq1.joins)
+    val size = fju.unionKeys.size
+    val n = 20 * size
+    val res = UnionSampler(uq1.joins, fju.params, "EW", seed = 9).sample(n)
+    assert(res.tuples.size == n)
+    assert(res.tuples.forall { case (t, _) => fju.unionKeys.contains(t.key) })
+    val counts = res.tuples.groupBy(_._1.key).map { case (k, v) => k -> v.size }
+    val chi = ChiSquare.statistic(counts, size, n)
+    val bound = ChiSquare.quantile999(size - 1)
+    assert(chi < bound, s"chi-square $chi over $size tuples, bound $bound")
   }
 
   test("overlap tuples are owned by the earliest cover join") {
@@ -65,7 +73,7 @@ class UnionSamplerSpec extends SparkSpec {
     val res = UnionSampler(toy.joins, fju.params, "EO", seed = 5).sample(n)
     assert(res.tuples.forall { case (t, _) => fju.unionKeys.contains(t.key) })
     val counts = res.tuples.groupBy(_._1.key).map { case (k, v) => k -> v.size }
-    val chi = chiSquare(counts, 16, n)
+    val chi = ChiSquare.statistic(counts, 16, n)
     assert(chi < 42.0, s"chi-square $chi")
     assert(res.stats.walkAttempts > 0 && res.stats.eoRejected >= 0)
   }
@@ -133,7 +141,7 @@ class UnionSamplerSpec extends SparkSpec {
     assert(res.tuples.size == n)
     assert(res.tuples.forall { case (t, _) => fju.unionKeys.contains(t.key) })
     val counts = res.tuples.groupBy(_._1.key).map { case (k, v) => k -> v.size }
-    val chi = chiSquare(counts, 16, n)
+    val chi = ChiSquare.statistic(counts, 16, n)
     assert(chi < 42.0, s"chi-square $chi")
   }
 
