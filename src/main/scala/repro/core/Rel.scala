@@ -4,12 +4,14 @@ import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import org.apache.spark.storage.StorageLevel
+import repro.core.stats.DegreeStats
 
 /** A base relation participating in a join.
   *
   * Wraps a DataFrame with a name and caches derived artifacts the samplers
-  * need repeatedly: the row count and an `indexed` view carrying a dense
-  * 0-based row id (`__rid`) used for uniform / weighted root-tuple sampling.
+  * need repeatedly: the row count, the maximum degree of each join key, and
+  * an `indexed` view carrying a dense 0-based row id (`__rid`) used for
+  * uniform / weighted root-tuple sampling.
   *
   * Relations are assumed duplicate-free (the paper assumes joins have no
   * duplicate result tuples; our generators guarantee distinct rows).
@@ -51,6 +53,12 @@ final case class Rel(name: String, raw: DataFrame) {
       s"relation $name has $count rows, above the ${Rel.MaxDriverRows}-row limit of a driver-side index")
     got
   }
+
+  private val maxDegrees = scala.collection.concurrent.TrieMap.empty[Seq[String], Long]
+
+  /** [[DegreeStats.maxDegree]] of the key `attrs`, computed once per key. */
+  def maxDegree(attrs: Seq[String]): Long =
+    maxDegrees.getOrElseUpdate(attrs, DegreeStats.maxDegree(df, attrs))
 }
 
 object Rel {

@@ -2,7 +2,6 @@ package repro.core.join
 
 import org.apache.spark.sql.Row
 import repro.core._
-import repro.core.stats.DegreeStats
 import repro.core.walk.{JTuple, WanderJoin}
 
 import scala.collection.mutable.ArrayBuffer
@@ -192,7 +191,7 @@ final class OlkenSampler(val join: JoinSpec,
   /** The extended-Olken upper bound on |J|. */
   lazy val bound: Double =
     join.root.edgesPreOrder.foldLeft(join.root.rel.count.toDouble) { (acc, e) =>
-      acc * DegreeStats.maxDegreeMulti(e.child.rel.df, e.attrs)
+      acc * e.child.rel.maxDegree(e.attrs)
     }
 
   def prepare(): Unit = { bound; () }

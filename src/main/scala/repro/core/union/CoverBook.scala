@@ -74,16 +74,19 @@ final class CoverBook(stats: UnionStats) {
 
   /** Refill size for the draw buffer of a join selected with probability
     * `alpha`: 1.5× the draws still expected from it for a sample of
-    * `count`, scaled by `share` and clamped to [`lo`, `hi`].
+    * `count`, scaled by `share` and clamped to [`lo`, [[CoverBook.MaxChunk]]].
     */
-  def chunk(count: Int, alpha: Double, hi: Int, share: Double = 1.0, lo: Int = 32): Int = {
+  def chunk(count: Int, alpha: Double, share: Double = 1.0, lo: Int = 32): Int = {
     val want = math.ceil((count - target.size + 1) * alpha * 1.5).toInt
-    math.max(lo, math.min(hi, math.ceil(want * share).toInt))
+    math.max(lo, math.min(CoverBook.MaxChunk, math.ceil(want * share).toInt))
   }
 }
 
 object CoverBook {
   val MaxRedraws = 10000
+
+  /** The largest refill of a draw buffer. */
+  val MaxChunk = 512
 
   /** The join whose cumulative selection weight first exceeds `u` (the last
     * join when round-off leaves `u` above the final sum).

@@ -87,8 +87,8 @@ final class OnlineUnionSampler(joins: Seq[JoinSpec],
         // Pools serve most draws; size walk refills by the observed pool
         // fall-through rate so refills stay few *and* amortized.
         val fallRate = (stats.poolRejected + 1.0) / (stats.poolHits + stats.poolRejected + 2.0)
-        book.chunk(count, alphas(j), hi = 512, share = fallRate, lo = 8)
-      } else book.chunk(count, alphas(j), hi = 512)
+        book.chunk(count, alphas(j), share = fallRate, lo = 8)
+      } else book.chunk(count, alphas(j))
 
     while (book.size < count) {
       val alphas = params.alphas

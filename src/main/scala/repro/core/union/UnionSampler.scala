@@ -83,7 +83,7 @@ final class UnionSampler(joins: Seq[JoinSpec], params: UnionParams,
   /** Precompute per-join weights/bounds (warm-up-phase work). */
   def prepare(): Unit = samplers.foreach(_.prepare())
 
-  def sample(count: Int, batchSize: Int = 512): UnionSample = {
+  def sample(count: Int): UnionSample = {
     val rng = new java.util.Random(seed)
     val cum = params.alphas.scanLeft(0.0)(_ + _).tail
     val stats = new UnionStats
@@ -91,7 +91,7 @@ final class UnionSampler(joins: Seq[JoinSpec], params: UnionParams,
     val book = new CoverBook(stats)
     while (book.size < count) {
       val j = CoverBook.pick(cum, rng.nextDouble())
-      book.redraw(j)(buffers(j).pop(book.chunk(count, params.alphas(j), batchSize)))
+      book.redraw(j)(buffers(j).pop(book.chunk(count, params.alphas(j))))
     }
     UnionSample(book.tuples.take(count), stats)
   }

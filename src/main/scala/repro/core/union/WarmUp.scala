@@ -19,11 +19,6 @@ final case class RandomWalkWarmup(params: UnionParams,
   */
 object WarmUp {
 
-  /** Ground-truth parameters (for tests and for the FullJoinUnion rows of
-    * the experiments).
-    */
-  def exact(fju: FullJoinUnion): UnionParams = fju.params
-
   /** HISTOGRAM-BASED instantiation (§5): degree statistics only. */
   def histogram(joins: Seq[JoinSpec]): UnionParams = HistogramOverlap.estimate(joins)
 

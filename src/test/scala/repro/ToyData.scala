@@ -43,6 +43,37 @@ object ToyData {
       ChainJoin("t3_J2", Seq(a, b2), Seq("k"))))
   }
 
+  /** Two 2-relation chains A ⋈_k B_j whose relations all hold rows with a
+    * null k, which join nothing. Non-null k: A has 1..3 once each; B0 has
+    * 1 twice and 2 once; B1 has 1 once, 2 twice and 3 once. |J0| = 3,
+    * |J1| = 4, and the joins share (1, A1, 10) and (2, A2, 20).
+    */
+  def toyNullKeys(spark: SparkSession): UnionWorkload = {
+    import spark.implicits._
+    val a = Rel("null_a", Seq((Some(1L), "A1"), (Some(2L), "A2"), (Some(3L), "A3"),
+      (None, "A0"), (None, "A00")).toDF("k", "atag"))
+    def b(name: String, rows: (Option[Long], Long)*) = Rel(name, rows.toDF("k", "bval"))
+    val b0 = b("null_b0", (Some(1L), 10L), (Some(1L), 11L), (Some(2L), 20L), (None, 99L))
+    val b1 = b("null_b1", (Some(1L), 10L), (Some(2L), 20L), (Some(2L), 21L), (Some(3L), 30L), (None, 99L))
+    UnionWorkload("toyNull", Seq(
+      ChainJoin("null_J0", Seq(a, b0), Seq("k")),
+      ChainJoin("null_J1", Seq(a, b1), Seq("k"))))
+  }
+
+  /** Two 3-relation chains A ⋈_k B ⋈_m C_j, where C1 is a selection that
+    * keeps no row of C0, so J1 is empty.
+    */
+  def toyEmptyTail(spark: SparkSession): UnionWorkload = {
+    import spark.implicits._
+    val a = Rel("tail_a", (1 to 6).map(k => (k.toLong, s"A$k")).toDF("k", "atag"))
+    val b = Rel("tail_b", (1 to 6).flatMap(k => Seq((k.toLong, k * 10L), (k.toLong, k * 10L + 1)))
+      .toDF("k", "m"))
+    val c0 = (1 to 6).flatMap(k => Seq(k * 10L, k * 10L + 1)).map(m => (m, m % 7)).toDF("m", "csize")
+    UnionWorkload("toyEmptyTail", Seq(
+      ChainJoin("tail_J0", Seq(a, b, Rel("tail_c0", c0)), Seq("k", "m")),
+      ChainJoin("tail_J1", Seq(a, b, Rel("tail_c1", c0.filter($"csize" > 100))), Seq("k", "m"))))
+  }
+
   /** A small star join: root r(k, rv) with children s(k, sv) and t(k, tv),
     * with skew in the children so exact weights differ per root tuple.
     */

@@ -4,7 +4,8 @@ import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, ToyData}
 import repro.core.histogram.{ChainForm, HistogramOverlap, Splitter}
 import repro.core.stats.DegreeStats
-import repro.core.union.FullJoinUnion
+import repro.core.join.OlkenSampler
+import repro.core.union.{FullJoinUnion, UnionSampler, WarmUp}
 import repro.workloads.UnionWorkloads
 
 /** §5 degree statistics, Theorem 4 overlap bounds, §8.1 templates and the
@@ -33,13 +34,13 @@ class HistogramSpec extends SparkSpec {
       "SELECT max(deg) AS m, avg(deg) AS a FROM " +
         "(SELECT custkey, count(*) AS deg FROM orders GROUP BY custkey)",
       "orders" -> orders.df)
-    assert(DegreeStats.maxDegree(orders.df, "custkey") >= 1)
+    assert(DegreeStats.maxDegree(orders.df, Seq("custkey")) >= 1)
   }
 
   test("maxDegreeMulti on composite keys") {
     val (r, _, _) = ToyData.toyTriangleRels(spark)
-    assert(DegreeStats.maxDegreeMulti(r.df, Seq("a", "b")) == 1L)
-    assert(DegreeStats.maxDegreeMulti(r.df, Seq("a")) == DegreeStats.maxDegree(r.df, "a"))
+    assert(DegreeStats.maxDegree(r.df, Seq("a", "b")) == 1L)
+    assert(DegreeStats.maxDegree(r.df, Seq("a")) == DegreeStats.degrees(r.df, "a").values.max)
   }
 
   test("ChainForm.aligned detects the §5.1 base case") {
@@ -50,19 +51,19 @@ class HistogramSpec extends SparkSpec {
 
   test("direct overlap bound dominates the exact overlap (toy)") {
     val fju = new FullJoinUnion(toy.joins)
-    val chains = toy.joins.map(j => ChainForm.direct(j.asInstanceOf[ChainJoin]))
-    val bound = HistogramOverlap.overlapBound(chains)
+    val est = HistogramOverlap.estimate(toy.joins)
+    val bound = est.o(Set(0, 1))
     assert(bound >= fju.overlap(Set(0, 1)).toDouble, s"bound $bound")
     // singleton: extended-Olken join-size bound dominates |J|
-    val b0 = HistogramOverlap.overlapBound(Seq(chains(0)))
+    val b0 = est.o(Set(0))
     assert(b0 >= fju.sizes(0).toDouble)
   }
 
   test("direct overlap bounds dominate exact overlaps on all UQ1 subsets") {
     val fju = new FullJoinUnion(uq1.joins)
-    val chains = uq1.joins.map(j => ChainForm.direct(j.asInstanceOf[ChainJoin]))
+    val est = HistogramOverlap.estimate(uq1.joins)
     for (k <- 1 to 3; idx <- (0 until uq1.joins.size).combinations(k).take(6)) {
-      val bound = HistogramOverlap.overlapBound(idx.map(chains))
+      val bound = est.o(idx.toSet)
       val exact = fju.overlap(idx.toSet).toDouble
       assert(bound >= exact - 1e-6, s"Δ=$idx: bound $bound < exact $exact")
     }
@@ -102,6 +103,32 @@ class HistogramSpec extends SparkSpec {
     }
   }
 
+  test("null join values add nothing to K(1), and the bound still dominates") {
+    val w = ToyData.toyNullKeys(spark)
+    val a = w.joins.head.relations.head
+    assert(DegreeStats.degrees(a.df, "k") == Map(1L -> 1L, 2L -> 1L, 3L -> 1L))
+    val est = HistogramOverlap.estimate(w.joins)
+    // Theorem 4 by hand, non-null k only: d_A·d_B0 = {1: 2, 2: 1} and
+    // d_A·d_B1 = {1: 1, 2: 2, 3: 1}, so |J0| ≤ 3, |J1| ≤ 4 and
+    // |O_01| ≤ min(2, 1) + min(1, 2) = 2; counting the null rows would give 4
+    assert(est.o(Set(0)) == 3.0 && est.o(Set(1)) == 4.0)
+    assert(est.o(Set(0, 1)) == 2.0)
+    val fju = new FullJoinUnion(w.joins)
+    assert(est.o(Set(0, 1)) >= fju.overlap(Set(0, 1)).toDouble)
+  }
+
+  test("an empty relation gives its join size 0 and a 0 Olken bound; sampling skips the join") {
+    val w = ToyData.toyEmptyTail(spark)
+    val est = WarmUp.histogram(w.joins)
+    assert(est.o(Set(1)) == 0.0)
+    assert(est.o(Set(0)) >= new FullJoinUnion(Seq(w.joins.head)).sizes.head.toDouble)
+    assert(new OlkenSampler(w.joins(1)).bound == 0.0)
+    val keys = new FullJoinUnion(Seq(w.joins.head)).unionKeys
+    val res = UnionSampler(w.joins, est, "EW", seed = 3).sample(200)
+    assert(res.tuples.size == 200)
+    assert(res.tuples.forall { case (t, j) => j == 0 && keys.contains(t.key) })
+  }
+
   // ---- §8.1 templates -----------------------------------------------------
 
   test("attribute distances: 0 when co-located, >0 across relations") {
@@ -132,9 +159,10 @@ class HistogramSpec extends SparkSpec {
     val chains = uq3.joins.map(Splitter.split(_, template))
     assert(chains.forall(_.hops == template.size - 2))
     val fju = new FullJoinUnion(uq3.joins)
+    val est = HistogramOverlap.estimate(uq3.joins)
     // singleton bounds dominate join sizes
     uq3.joins.indices.foreach { j =>
-      val b = HistogramOverlap.overlapBound(Seq(chains(j)))
+      val b = est.o(Set(j))
       assert(b >= fju.sizes(j).toDouble - 1e-6, s"join $j bound $b < ${fju.sizes(j)}")
     }
   }

@@ -77,9 +77,8 @@ class JoinSamplerSpec extends SparkSpec {
     assert(new ExactWeightSampler(repartitioned).sample(300, seed = 12)._1 == first)
   }
 
-  test("after prepare(), EW draws start no Spark job") {
-    val s = new ExactWeightSampler(uq1.joins.head)
-    s.prepare()
+  /** The number of Spark jobs `body` starts. */
+  private def jobsDuring(body: => Unit): Int = {
     val sc = spark.sparkContext
     val groups = new java.util.concurrent.ConcurrentLinkedQueue[String]()
     val listener = new SparkListener {
@@ -89,7 +88,7 @@ class JoinSamplerSpec extends SparkSpec {
     }
     sc.addSparkListener(listener)
     try {
-      assert(s.sample(2000, seed = 13)._1.size == 2000)
+      body
       // Listener events arrive in order: once the marker job is seen, every
       // job started before it has been seen too.
       sc.setJobGroup("marker", "marker")
@@ -98,8 +97,15 @@ class JoinSamplerSpec extends SparkSpec {
       val deadline = System.nanoTime() + 60L * 1000000000L
       while (!groups.contains("marker") && System.nanoTime() < deadline) Thread.sleep(10)
       assert(groups.contains("marker"))
-      assert(groups.size == 1, s"sampling started ${groups.size - 1} Spark jobs")
+      groups.size - 1
     } finally sc.removeSparkListener(listener)
+  }
+
+  test("after prepare(), EW draws start no Spark job") {
+    val s = new ExactWeightSampler(uq1.joins.head)
+    s.prepare()
+    val jobs = jobsDuring(assert(s.sample(2000, seed = 13)._1.size == 2000))
+    assert(jobs == 0, s"sampling started $jobs Spark jobs")
   }
 
   test("EW is uniform on every UQ1 join (chi-square at the 0.999 quantile)") {
@@ -131,6 +137,13 @@ class JoinSamplerSpec extends SparkSpec {
     assert(s.bound >= new FullJoinUnion(Seq(j)).sizes.head.toDouble)
     val uq1s = new OlkenSampler(uq1.joins.head)
     assert(uq1s.bound >= new FullJoinUnion(Seq(uq1.joins.head)).sizes.head.toDouble)
+  }
+
+  test("a second EO sampler over the same join computes its bound with no Spark job") {
+    val j = uq1.joins(1)
+    new OlkenSampler(j).prepare()
+    val jobs = jobsDuring(new OlkenSampler(j).prepare())
+    assert(jobs == 0, s"the second prepare() started $jobs Spark jobs")
   }
 
   test("EO samples lie in the join; rejections carry valid p(t)") {
