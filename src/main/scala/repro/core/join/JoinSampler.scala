@@ -7,11 +7,14 @@ import repro.core.walk.{JTuple, WanderJoin}
 import scala.collection.mutable.ArrayBuffer
 
 /** Per-draw accounting of a single-join sampler, consumed by the union
-  * sampler's time-breakdown experiment and by the reuse pools: how many
-  * walks were attempted, how many died on dangling tuples, how many
-  * successful walks were rejected by the accept/reject test — and the
-  * rejected tuples themselves (they carry a valid p(t) and can be reused
-  * by Algorithm 2).
+  * sampler's time-breakdown experiment and by Algorithm 2's size
+  * estimates: how many walks were attempted, how many died on dangling
+  * tuples, how many successful walks were rejected by the accept/reject
+  * test — and the rejected tuples themselves (EO also returns here the
+  * accepted tuples beyond the `n` asked for). They carry a valid p(t), so
+  * Algorithm 2 adds them to its HT size estimator; it never pools them for
+  * reuse, because the rejected ones are distributed ∝ p(t) − 1/W, not
+  * ∝ p(t).
   */
 final case class DrawStats(walkAttempts: Int, walkFailures: Int, rejected: Int,
                            rejectedTuples: IndexedSeq[JTuple] = IndexedSeq.empty) {

@@ -15,12 +15,16 @@ import scala.collection.mutable.ArrayBuffer
   * joins as Algorithm 1 does (redrawing from the same join until a draw is
   * accepted by the shared [[CoverBook]]), but:
   *
-  *  - **Reuse** (lines 7–10): if join j's pool of previously walked tuples
-  *    is non-empty, pop a random pooled tuple t and accept it with ratio
+  *  - **Reuse** (lines 7–10): if join j's pool of warm-up walk tuples is
+  *    non-empty, pop a random pooled tuple t and accept it with ratio
   *    R = 1/(p(t)·|J_j|); R may exceed 1, in which case ⌊R⌋ + Bern(R−⌊R⌋)
   *    instances are emitted (the paper's r_i system, realized in
-  *    expectation). A pool rejection falls through to a real walk-based
-  *    draw (Alg. 2 line 9) — whose Olken-rejected tuples refill the pool.
+  *    expectation; more than [[OnlineUnionSampler.MaxCopies]] are cut and
+  *    counted in `copiesCapped`). A drained pool falls through to a real
+  *    walk-based draw (Alg. 2 line 9). The pools hold warm-up walks only:
+  *    the tuples an EO refill rejects are distributed ∝ p(t) − 1/W_j, not
+  *    ∝ p(t), so accepting them with R would over-sample high-p(t)
+  *    tuples. Every refill walk goes to the HT size statistics instead.
   *  - **Backtracking** (line 18): every φ recorded walk probabilities, the
   *    parameters are re-estimated with the RANDOM-WALK method from all
   *    walks so far, and every tuple already in T is re-accepted with
@@ -42,7 +46,9 @@ final class OnlineUnionSampler(joins: Seq[JoinSpec],
   private def warm(j: Int): IndexedSeq[JTuple] =
     warmup.fold(IndexedSeq.empty[JTuple])(_.batches(j).samples)
 
-  /** Reuse pools: walk tuples with known p(t), drawn without replacement. */
+  /** Reuse pools: the warm-up's walk tuples with known p(t), drawn without
+    * replacement and never refilled.
+    */
   private val pools: IndexedSeq[ArrayBuffer[JTuple]] =
     IndexedSeq.tabulate(n)(j => ArrayBuffer.from(if (reuse) warm(j) else Nil))
 
@@ -60,6 +66,8 @@ final class OnlineUnionSampler(joins: Seq[JoinSpec],
     var backtracks: Int = 0
     var backtrackRemoved: Int = 0
     var poolNs: Long = 0          // time spent serving from the pool
+    var copiesCapped: Int = 0     // pool pops whose ⌊R⌋+Bern copies were cut to MaxCopies
+    var walksRecorded: Int = 0    // refill walk outcomes added to the HT statistics
 
     def poolMs: Long = poolNs / 1000000
   }
@@ -71,14 +79,15 @@ final class OnlineUnionSampler(joins: Seq[JoinSpec],
     var recordedP = 0
     var confident = false
 
-    // A refill's walks are recorded once, rejected tuples before the draws
-    // popped from the buffer; the rejected tuples refill the pool.
+    // Every walk of a refill is recorded once, when the refill arrives:
+    // accepted tuples (also those still buffered), rejected tuples and
+    // failures. None of them enters a pool (see the class doc).
+    def record(j: Int, f: Double): Unit = { walkStats(j).add(f); stats.walksRecorded += 1 }
     val buffers = IndexedSeq.tabulate(n) { j =>
-      new DrawBuffer(samplers(j), stats, seed + 1, ds => {
-        ds.rejectedTuples.foreach { rt => walkStats(j).add(1.0 / rt.p); walked(j) += rt }
-        (0 until ds.walkFailures).foreach(_ => walkStats(j).add(0.0))
+      new DrawBuffer(samplers(j), stats, seed + 1, (ts, ds) => {
+        (ts ++ ds.rejectedTuples).foreach { t => record(j, 1.0 / t.p); walked(j) += t }
+        (0 until ds.walkFailures).foreach(_ => record(j, 0.0))
         recordedP += ds.walkAttempts
-        if (reuse) pools(j) ++= ds.rejectedTuples
       })
     }
 
@@ -95,12 +104,12 @@ final class OnlineUnionSampler(joins: Seq[JoinSpec],
       val j = CoverBook.pick(alphas.scanLeft(0.0)(_ + _).tail, rng.nextDouble())
 
       // -- reuse path (Alg. 2 lines 7–8) ----------------------------------
-      // R-rejection retries the pool: the pool is an i.i.d. collection, so
-      // rejection sampling over it is exactly uniform over J_j and saves a
-      // walk (Alg. 2 as written falls through on the first rejection; the
-      // pool retry is equally uniform and avoids Spark round-trips — see
-      // DESIGN.md). Cover-rejected pool tuples also redraw from the pool.
-      // Only a drained pool falls through to real walks.
+      // R-rejection retries the pool: the pool is an i.i.d. collection of
+      // warm-up walks, so rejection sampling over it is exactly uniform over
+      // J_j and saves a walk (Alg. 2 as written falls through on the first
+      // rejection; the pool retry is equally uniform and avoids Spark
+      // round-trips — see DESIGN.md). Cover-rejected pool tuples also redraw
+      // from the pool. Only a drained pool falls through to real walks.
       var served = false
       while (!served && reuse && pools(j).nonEmpty) {
         val t0 = System.nanoTime()
@@ -108,7 +117,10 @@ final class OnlineUnionSampler(joins: Seq[JoinSpec],
         val t = pools(j).remove(idx)
         val r = 1.0 / (t.p * math.max(params.joinSizes(j), 1e-9))
         var copies = r.toInt + (if (rng.nextDouble() < r - r.toInt) 1 else 0)
-        copies = math.min(copies, 16) // guard against degenerate size underestimates
+        if (copies > OnlineUnionSampler.MaxCopies) {
+          stats.copiesCapped += 1
+          copies = OnlineUnionSampler.MaxCopies
+        }
         if (copies == 0) stats.poolRejected += 1
         else {
           stats.poolHits += 1
@@ -120,11 +132,7 @@ final class OnlineUnionSampler(joins: Seq[JoinSpec],
       }
 
       // -- walk path (Alg. 2 lines 9–10), redraw until cover-accepted -----
-      if (!served) book.redraw(j) {
-        val t = buffers(j).pop(chunk(j, alphas))
-        walkStats(j).add(1.0 / t.p); walked(j) += t
-        t
-      }
+      if (!served) book.redraw(j)(buffers(j).pop(chunk(j, alphas)))
 
       // -- backtracking with parameter update (Alg. 2 line 18) ------------
       if (recordedP >= phi && !confident) {
@@ -161,4 +169,14 @@ final class OnlineUnionSampler(joins: Seq[JoinSpec],
       val s = walkStats(j)
       if (s.mean <= 0) 0.0 else math.max(0.0, 1.0 - s.ciHalfWidth(z) / s.mean)
     }.min
+}
+
+object OnlineUnionSampler {
+
+  /** The most instances one pooled tuple emits. It guards against
+    * degenerate |J_j| under-estimates (R = 1/(p(t)·|J_j|) grows without
+    * bound); a cut changes the output distribution, so each is counted in
+    * `copiesCapped`.
+    */
+  val MaxCopies = 16
 }

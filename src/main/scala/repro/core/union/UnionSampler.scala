@@ -41,10 +41,11 @@ final case class UnionSample(tuples: IndexedSeq[(JTuple, Int)], stats: UnionStat
 /** Per-join buffer of pre-drawn i.i.d. tuples: popping sequentially is
   * distributionally identical to drawing one-at-a-time, so the union
   * sampler can consume single draws while Spark works in batches. Each
-  * refill's [[DrawStats]] go to `onRefill` (Algorithm 2 records its walks).
+  * refill's tuples and [[DrawStats]] go to `onRefill` before the first of
+  * them is popped (Algorithm 2 records its walks there).
   */
 final class DrawBuffer(sampler: JoinTupleSampler, stats: UnionStats, seed: Long,
-                       onRefill: DrawStats => Unit = _ => ()) {
+                       onRefill: (IndexedSeq[JTuple], DrawStats) => Unit = (_, _) => ()) {
   private val buf = scala.collection.mutable.Queue.empty[JTuple]
   private var round = 0
 
@@ -57,7 +58,7 @@ final class DrawBuffer(sampler: JoinTupleSampler, stats: UnionStats, seed: Long,
       stats.walkAttempts += ds.walkAttempts
       stats.walkFailures += ds.walkFailures
       stats.eoRejected += ds.rejected
-      onRefill(ds)
+      onRefill(ts, ds)
       buf ++= ts
       round += 1
     }

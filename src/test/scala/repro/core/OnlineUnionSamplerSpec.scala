@@ -68,8 +68,9 @@ class OnlineUnionSamplerSpec extends SparkSpec {
   }
 
   test("pool acceptance ratio emits extra instances only when R > 1") {
-    // With exact parameters and exact p = 1/|J|, R = 1 exactly: every pool
-    // draw is accepted exactly once.
+    // With exact parameters, |J_j| = 12 and a walk's p(t) is 1/40 or 1/20
+    // on toy, so R = 1/(p(t)·|J_j|) is 10/3 or 5/3: every pool draw is
+    // accepted, with ⌊R⌋ or ⌊R⌋+1 instances.
     val fju = new FullJoinUnion(toy.joins)
     val warm = WarmUp.randomWalk(toy.joins, walksPerJoin = 500, seed = 9)
     val s = new OnlineUnionSampler(toy.joins, fju.params, Some(warm), seed = 10,
@@ -77,5 +78,47 @@ class OnlineUnionSamplerSpec extends SparkSpec {
     val res = s.sample(200)
     val st = res.stats.asInstanceOf[s.OnlineStats]
     assert(st.poolHits + st.poolRejected > 0)
+  }
+
+  test("reuse pools hold only warm-up walks") {
+    // Pops are drawn without replacement, so a pool that holds warm-up
+    // walks only serves at most as many pops as the warm-up had successes.
+    val warm = WarmUp.randomWalk(toy.joins, walksPerJoin = 1500, seed = 3)
+    val fju = new FullJoinUnion(toy.joins)
+    val s = new OnlineUnionSampler(toy.joins, fju.params, Some(warm), seed = 4,
+      phi = Int.MaxValue)
+    val st = s.sample(4000).stats.asInstanceOf[s.OnlineStats]
+    val warmWalks = warm.batches.map(_.samples.size).sum
+    assert(st.walkAttempts > 0, "the pools never drained, so no refill was tested")
+    assert(st.poolHits + st.poolRejected <= warmWalks,
+      s"${st.poolHits + st.poolRejected} pool pops from $warmWalks warm-up walks")
+  }
+
+  test("every refill walk is recorded exactly once") {
+    // No predicate: each walk attempt fails, is accepted or is rejected,
+    // and accepted tuples still buffered at the end count too.
+    val warm = WarmUp.randomWalk(toy.joins, walksPerJoin = 100, seed = 11)
+    val s = new OnlineUnionSampler(toy.joins, WarmUp.histogram(toy.joins), Some(warm),
+      seed = 12, phi = 64)
+    val st = s.sample(600).stats.asInstanceOf[s.OnlineStats]
+    assert(st.walkAttempts > 0, "no refill happened")
+    assert(st.walksRecorded == st.walkAttempts,
+      s"${st.walksRecorded} walks recorded of ${st.walkAttempts} attempted")
+  }
+
+  test("pool copies cut at MaxCopies are counted") {
+    val fju = new FullJoinUnion(toy.joins)
+    val warm = WarmUp.randomWalk(toy.joins, walksPerJoin = 500, seed = 9)
+    def capped(params: UnionParams): Int = {
+      val s = new OnlineUnionSampler(toy.joins, params, Some(warm), seed = 10,
+        phi = Int.MaxValue)
+      s.sample(200).stats.asInstanceOf[s.OnlineStats].copiesCapped
+    }
+    // R ≤ 10/3 with exact sizes; scaling every overlap by 1/100 keeps the
+    // α_j but lifts R to 1000/3, far above MaxCopies.
+    val shrunk = UnionParams(fju.params.n, fju.params.overlaps.map { case (d, o) => d -> o / 100 })
+    assert(shrunk.alphas.zip(fju.params.alphas).forall { case (a, b) => math.abs(a - b) < 1e-12 })
+    assert(capped(fju.params) == 0)
+    assert(capped(shrunk) > 0)
   }
 }
