@@ -1,17 +1,18 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.LongType
 import org.apache.spark.storage.StorageLevel
-import repro.core.stats.DegreeStats
+
+import scala.jdk.CollectionConverters._
 
 /** A base relation participating in a join.
   *
   * Wraps a DataFrame with a name and caches derived artifacts the samplers
-  * need repeatedly: the row count, the maximum degree of each join key, and
-  * an `indexed` view carrying a dense 0-based row id (`__rid`) used for
-  * uniform / weighted root-tuple sampling.
+  * need repeatedly: the row count, the rows on the driver grouped by each
+  * join key, and an `indexed` view carrying a dense 0-based row id
+  * (`__rid`) used for uniform root-tuple sampling by walks.
   *
   * Relations are assumed duplicate-free (the paper assumes joins have no
   * duplicate result tuples; our generators guarantee distinct rows).
@@ -28,23 +29,20 @@ final case class Rel(name: String, raw: DataFrame) {
 
   def cols: Seq[String] = df.columns.toSeq
 
-  /** Data with a dense, deterministic 0-based row id (`__rid`).
-    *
-    * The id is assigned by a total order over all columns, so it is stable
-    * across recomputations — required because samplers join driver-chosen
-    * ids back against this view.
+  /** [[rows]] as a cached frame, each row with its id `__rid` appended, so
+    * samplers can join driver-chosen ids back against it.
     */
   lazy val indexed: DataFrame = {
-    val ordered = Window.orderBy(cols.map(col): _*)
-    val d = Rel.cached(df.withColumn("__rid", row_number().over(ordered).cast("long") - 1))
+    val numbered = rows.indices.map(i => Row.fromSeq(rows(i).toSeq :+ i.toLong))
+    val d = Rel.cached(df.sparkSession.createDataFrame(numbered.asJava,
+      df.schema.add("__rid", LongType, nullable = false)))
     d.count()
     d
   }
 
-  /** The rows on the driver, in `indexed`'s id order (row i has `__rid`
-    * i), collected once for driver-side indexes. One Spark job: a sort of
-    * one partition by all columns, the order `indexed` numbers rows by.
-    * Fails for a relation of more than [[Rel.MaxDriverRows]] rows.
+  /** The rows on the driver, sorted by all columns; row i has `__rid` i.
+    * One Spark job, a sort of one partition. Fails for a relation of more
+    * than [[Rel.MaxDriverRows]] rows.
     */
   lazy val rows: Array[Row] = {
     val got = df.coalesce(1).sortWithinPartitions(cols.map(col): _*)
@@ -54,16 +52,38 @@ final case class Rel(name: String, raw: DataFrame) {
     got
   }
 
-  private val maxDegrees = scala.collection.concurrent.TrieMap.empty[Seq[String], Long]
+  private val groupsByKey = scala.collection.concurrent.TrieMap.empty[Seq[String], Map[Any, Array[Int]]]
 
-  /** [[DegreeStats.maxDegree]] of the key `attrs`, computed once per key. */
+  /** The rows grouped by the key `attrs`: each key value ([[Rel.key]]) ↦
+    * the ids of its rows in [[rows]], ascending. Rows with a null in the
+    * key are left out, since an equi-join never matches them. A group's
+    * size is the value's degree (§5). Built once per key.
+    */
+  def groups(attrs: Seq[String]): Map[Any, Array[Int]] =
+    groupsByKey.getOrElseUpdate(attrs, {
+      val at = attrs.map(cols.indexOf)
+      rows.indices.groupBy(i => Rel.key(rows(i), at))
+        .collect { case (k, ids) if k != null => k -> ids.toArray }
+    })
+
+  /** The largest degree of the key `attrs` (the Olken bound's M); 0 when
+    * no row has a non-null key.
+    */
   def maxDegree(attrs: Seq[String]): Long =
-    maxDegrees.getOrElseUpdate(attrs, DegreeStats.maxDegree(df, attrs))
+    groups(attrs).valuesIterator.map(_.length).maxOption.getOrElse(0).toLong
 }
 
 object Rel {
   /** The most rows [[Rel.rows]] collects to the driver. */
   val MaxDriverRows: Int = 1 << 20
+
+  /** A row's join key on columns `at`: the value itself for one column, the
+    * values' sequence for several; null when a value is null.
+    */
+  def key(r: Row, at: Seq[Int]): Any =
+    if (at.exists(r.isNullAt)) null
+    else if (at.size == 1) r.get(at.head)
+    else at.map(r.get)
 
   /** `df` marked for caching, unless its plan is cached already: frames
     * rebuilt with the same plan (a workload generated again, the ground

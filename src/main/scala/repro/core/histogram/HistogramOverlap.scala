@@ -1,8 +1,6 @@
 package repro.core.histogram
 
-import org.apache.spark.sql.DataFrame
 import repro.core._
-import repro.core.stats.DegreeStats
 
 /** Theorem 4: histogram-based upper bound on the overlap |O_Δ| of a set of
   * joins rewritten as aligned chains (§5).
@@ -33,8 +31,8 @@ object HistogramOverlap {
     * (The forward pass discriminates overlap living in the *first*
     * relations' value histograms, the reverse pass in the *last* — e.g.
     * UQ1's per-join lineitems are only visible to the reverse pass.) Both
-    * orientations read one set of degree maps, collected once per
-    * (piece, attribute).
+    * orientations read the pieces' key groups ([[Rel.groups]]), built once
+    * per (relation, attribute).
     */
   def estimate(joins: Seq[JoinSpec]): UnionParams = {
     val chains: Seq[ChainForm] =
@@ -45,25 +43,21 @@ object HistogramOverlap {
       }
     val n = joins.size
     val subsets = (1 to n).flatMap(k => (0 until n).combinations(k))
-    val maps = scala.collection.mutable.HashMap.empty[(DataFrame, String), Map[Any, Long]]
-    def degrees(df: DataFrame, attr: String): Map[Any, Long] =
-      maps.getOrElseUpdate((df, attr), DegreeStats.degrees(df, attr))
-    val fwd = directionTable(chains, subsets, degrees)
-    val rev = directionTable(chains.map(_.reversed), subsets, degrees)
+    val fwd = directionTable(chains, subsets)
+    val rev = directionTable(chains.map(_.reversed), subsets)
     val overlaps = subsets.map(idx => idx.toSet -> math.min(fwd(idx), rev(idx))).toMap
     UnionParams(n, monotonize(n, overlaps))
   }
 
   /** The K recursion in the orientation given, for each subset Δ (indices
-    * into `chains`), over the degree maps `degrees` gives: K(1) sums the
-    * per-value minimum of the joins' first-hop degree products, and
-    * M_{j,i} is the largest degree of the hop attribute in the next piece.
+    * into `chains`): K(1) sums the per-value minimum of the joins'
+    * first-hop degree products, and M_{j,i} is the largest degree of the
+    * hop attribute in the next piece. A degree is a key group's size.
     */
-  private def directionTable(chains: Seq[ChainForm], subsets: Seq[Seq[Int]],
-                             degrees: (DataFrame, String) => Map[Any, Long]): Map[Seq[Int], Double] = {
+  private def directionTable(chains: Seq[ChainForm], subsets: Seq[Seq[Int]]): Map[Seq[Int], Double] = {
     require(chains.forall(_.hopAttrs == chains.head.hopAttrs), "chains must be aligned")
     val hops = chains.head.hops
-    def fakeK1(idx: Seq[Int]): Double = idx.map(i => chains(i).sizes.head.toDouble).min
+    def fakeK1(idx: Seq[Int]): Double = idx.map(i => chains(i).rels.head.count.toDouble).min
     if (hops == 0) return subsets.map(idx => idx -> fakeK1(idx)).toMap
 
     val attr = chains.head.hopAttrs(0)
@@ -72,11 +66,11 @@ object HistogramOverlap {
     val prods: Seq[Map[Any, Double]] =
       if (chains.forall(_.isFake(0))) Nil
       else chains.map { c =>
-        val d1 = degrees(c.dfs(0), attr)
-        if (c.isFake(0)) d1.map { case (v, d) => v -> d.toDouble }
+        val g1 = c.rels(0).groups(Seq(attr))
+        if (c.isFake(0)) g1.map { case (v, ids) => v -> ids.length.toDouble }
         else {
-          val d2 = degrees(c.dfs(1), attr)
-          d1.collect { case (v, d) if d2.contains(v) => v -> d.toDouble * d2(v) }
+          val g2 = c.rels(1).groups(Seq(attr))
+          g1.collect { case (v, ids) if g2.contains(v) => v -> ids.length.toDouble * g2(v).length }
         }
       }
     def k1(idx: Seq[Int]): Double =
@@ -90,7 +84,7 @@ object HistogramOverlap {
     def mult(j: Int, i: Int): Double = {
       val c = chains(j)
       if (c.isFake(i)) 1.0
-      else degrees(c.dfs(i + 1), c.hopAttrs(i)).values.maxOption.getOrElse(0L).toDouble
+      else c.rels(i + 1).maxDegree(Seq(c.hopAttrs(i))).toDouble
     }
     subsets.map { idx =>
       idx -> (1 until hops).foldLeft(k1(idx))((acc, i) => acc * idx.map(j => mult(j, i)).min)

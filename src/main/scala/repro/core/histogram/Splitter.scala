@@ -1,41 +1,35 @@
 package repro.core.histogram
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 import repro.core._
 
 /** A join rewritten as a chain for the K-recursion of Theorem 4.
   *
-  * `dfs(i)` joins `dfs(i+1)` on `hopAttrs(i)`; `sizes(i)` is the size of
-  * the *original* relation a piece came from (= `dfs(i).count` for real
-  * relations); `sources(i)` names that original relation — two adjacent
-  * pieces split from the same original form a *fake join* (M = 1 in the
-  * recursion). `sources(i) = None` marks a virtual piece materialized from
-  * a path sub-join (§8.1).
+  * `rels(i)` joins `rels(i+1)` on `hopAttrs(i)`. A piece is the original
+  * relation it was split from (a projection keeps its degrees and its
+  * count), or a virtual relation materialized from a path sub-join
+  * (§8.1). Two adjacent pieces split from the same relation form a *fake
+  * join* (M = 1 in the recursion).
   *
   * Produced either directly from structurally-aligned chain joins (§5.1 —
   * no splitting needed) or by the splitting method over a standard
   * template (§5.2/§8.1).
   */
-final case class ChainForm(joinName: String, dfs: Seq[DataFrame], sizes: Seq[Long],
-                           sources: Seq[Option[String]], hopAttrs: Seq[String]) {
-  require(dfs.size == sizes.size && dfs.size == sources.size && hopAttrs.size == math.max(0, dfs.size - 1))
+final case class ChainForm(rels: Seq[Rel], hopAttrs: Seq[String]) {
+  require(hopAttrs.size == math.max(0, rels.size - 1))
   def hops: Int = hopAttrs.size
-  def isFake(i: Int): Boolean = sources(i).isDefined && sources(i) == sources(i + 1)
+  def isFake(i: Int): Boolean = rels(i) eq rels(i + 1)
 
   /** The same chain processed from the other end — an equally valid
     * orientation for the K recursion of Theorem 4.
     */
-  def reversed: ChainForm =
-    ChainForm(joinName, dfs.reverse, sizes.reverse, sources.reverse, hopAttrs.reverse)
+  def reversed: ChainForm = ChainForm(rels.reverse, hopAttrs.reverse)
 }
 
 object ChainForm {
 
   /** §5.1 direct form: the chain's own relations, no splitting. */
   def direct(j: ChainJoin): ChainForm =
-    ChainForm(j.name, j.rels.map(_.df), j.rels.map(_.count),
-      j.rels.map(r => Some(s"${j.name}/${r.name}")), j.joinAttrs)
+    ChainForm(j.rels, j.joinAttrs)
 
   /** True when the §5.1 base case applies to the whole collection: all
     * chains, equal length, positionally identical schemas and join attrs.
@@ -92,27 +86,21 @@ object Splitter {
   /** Split `join` along `template` into two-attribute pieces.
     *
     * Each pair (B_i, B_{i+1}) becomes π over a relation containing both
-    * when one exists; otherwise the pair is *virtual*: we materialize the
-    * projection of the partial join along the tree path between the
-    * closest relations holding B_i and B_{i+1} (the paper estimates this
-    * sub-join; we compute its two-column projection exactly — still only a
-    * short partial join, never the full join).
+    * when one exists, kept as that relation; otherwise the pair is
+    * *virtual*: we materialize the partial join along the tree path
+    * between the closest relations holding B_i and B_{i+1} (the paper
+    * estimates this sub-join; we compute it exactly — still only a short
+    * partial join, never the full join).
     */
   def split(join: JoinSpec, template: Seq[String]): ChainForm = {
     val nodes  = collectNodes(join.root)
     val dists  = treeDistances(nodes)
     val pieces = template.sliding(2).map { pair =>
       val (a, b) = (pair(0), pair(1))
-      nodes.map(_._1).find(r => r.cols.contains(a) && r.cols.contains(b)) match {
-        case Some(r) =>
-          (r.df.select(col(a), col(b)), r.count, Some(s"${join.name}/${r.name}"): Option[String])
-        case None =>
-          val (pathDf, size) = pathJoin(nodes, dists, a, b)
-          (pathDf.select(col(a), col(b)), size, None: Option[String])
-      }
+      nodes.map(_._1).find(r => r.cols.contains(a) && r.cols.contains(b))
+        .getOrElse(pathJoin(join.name, nodes, dists, a, b))
     }.toSeq
-    ChainForm(join.name, pieces.map(_._1), pieces.map(_._2), pieces.map(_._3),
-      template.drop(1).dropRight(1))
+    ChainForm(pieces, template.drop(1).dropRight(1))
   }
 
   // ---- internals ----------------------------------------------------------
@@ -146,11 +134,11 @@ object Splitter {
     }
   }
 
-  /** Materialize the two-attribute projection of the join along the tree
-    * path between the closest relations containing `a` and `b`.
+  /** The join along the tree path between the closest relations
+    * containing `a` and `b`, as a relation of join `joinName`.
     */
-  private def pathJoin(nodes: Seq[(Rel, Int)], d: Array[Array[Int]],
-                       a: String, b: String): (DataFrame, Long) = {
+  private def pathJoin(joinName: String, nodes: Seq[(Rel, Int)], d: Array[Array[Int]],
+                       a: String, b: String): Rel = {
     val ia = nodes.indexWhere(_._1.cols.contains(a))
     val cands = nodes.zipWithIndex.collect { case ((r, _), i) if r.cols.contains(b) => i }
     val ib = cands.minBy(i => d(ia)(i))
@@ -165,8 +153,7 @@ object Splitter {
       val shared = l.columns.intersect(r.columns).toSeq
       l.join(r, shared)
     }
-    val cached = Rel.cached(joined)
-    (cached, cached.count())
+    Rel(s"$joinName/$a~$b", joined)
   }
 
   private def heldKarpPath(m: Int, s: Array[Array[Int]]): Seq[Int] = {

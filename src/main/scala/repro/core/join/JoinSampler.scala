@@ -9,12 +9,13 @@ import scala.collection.mutable.ArrayBuffer
 /** Per-draw accounting of a single-join sampler, consumed by the union
   * sampler's time-breakdown experiment and by Algorithm 2's size
   * estimates: how many walks were attempted, how many died on dangling
-  * tuples, how many successful walks were rejected by the accept/reject
-  * test — and the rejected tuples themselves (EO also returns here the
-  * accepted tuples beyond the `n` asked for). They carry a valid p(t), so
-  * Algorithm 2 adds them to its HT size estimator; it never pools them for
-  * reuse, because the rejected ones are distributed ∝ p(t) − 1/W, not
-  * ∝ p(t).
+  * tuples, how many successful walks were rejected (by the accept/reject
+  * test or a predicate) — and the successful walks not returned:
+  * `rejectedTuples` holds the Olken-rejected tuples and EO's accepted
+  * tuples beyond the `n` asked for, which `rejected` does not count. They
+  * carry a valid p(t), so Algorithm 2 adds them to its HT size estimator;
+  * it never pools them for reuse, because the rejected ones are
+  * distributed ∝ p(t) − 1/W, not ∝ p(t).
   */
 final case class DrawStats(walkAttempts: Int, walkFailures: Int, rejected: Int,
                            rejectedTuples: IndexedSeq[JTuple] = IndexedSeq.empty) {
@@ -42,12 +43,12 @@ trait JoinTupleSampler {
   * its [[Rel.rows]]. The bottom-up DP gives every row the exact number of
   * join results it roots: a leaf row weighs 1; an inner row weighs the
   * product over child edges of the total weight of its joinable child
-  * rows. Every edge maps a child join key to that key's positive-weight
-  * child rows and their prefix sums ([[ExactWeightSampler.Cdf]]). The
-  * total root weight is |J| exactly, and a draw descends top-down — a
-  * binary search on the root CDF, then one inside the parent's key group
-  * on every edge — so it is uniform, has zero rejection and runs no Spark
-  * job.
+  * rows. Every edge maps each key group of the child ([[Rel.groups]]) to
+  * its positive-weight rows and their prefix sums
+  * ([[ExactWeightSampler.Cdf]]). The total root weight is |J| exactly,
+  * and a draw descends top-down — a binary search on the root CDF, then
+  * one inside the parent's key group on every edge — so it is uniform,
+  * has zero rejection and runs no Spark job.
   */
 final class ExactWeightSampler(val join: JoinSpec) extends JoinTupleSampler {
   import ExactWeightSampler._
@@ -110,8 +111,8 @@ object ExactWeightSampler {
   }
 
   /** Edge `parent → child` (node numbers in pre-order): `groups(r)` is the
-    * key group of parent row r among the child's rows, or null when no
-    * positive-weight child row joins it.
+    * CDF over the child's [[Rel.groups]] group that parent row r joins, or
+    * null when no child row joins it.
     */
   private final class Edge(val parent: Int, val child: Int, val groups: Array[Cdf])
 
@@ -138,12 +139,9 @@ object ExactWeightSampler {
         t.children.foreach { e =>
           val child = rows.size
           val cw = weigh(e.child)
-          val cAt = e.attrs.map(cols(child).indexOf)
-          val byKey = rows(child).indices.filter(cw(_) > 0)
-            .groupBy(r => key(rows(child)(r), cAt))
-            .collect { case (k, ids) if k != null => k -> new Cdf(ids.toArray, cw) }
+          val byKey = e.child.rel.groups(e.attrs).map { case (k, ids) => k -> new Cdf(ids, cw) }
           val pAt = e.attrs.map(t.rel.cols.indexOf)
-          val groups = rs.map(r => byKey.getOrElse(key(r, pAt), null))
+          val groups = rs.map(r => byKey.getOrElse(Rel.key(r, pAt), null))
           edges += new Edge(me, child, groups)
           w.indices.foreach(r => w(r) *= (if (groups(r) == null) 0.0 else groups(r).total))
         }
@@ -158,14 +156,6 @@ object ExactWeightSampler {
       new Index(rows.toIndexedSeq, new Cdf(w.indices.toArray, w),
         edges.sortBy(_.child).toIndexedSeq, out.toIndexedSeq)
     }
-
-    /** A row's join key on columns `at`; null when a value is null, since
-      * an equi-join never matches null.
-      */
-    private def key(r: Row, at: Seq[Int]): Any =
-      if (at.exists(r.isNullAt)) null
-      else if (at.size == 1) r.get(at.head)
-      else at.map(r.get)
   }
 
   private def parentOf(root: JoinTree, edge: JoinEdge): JoinTree = {
@@ -177,7 +167,8 @@ object ExactWeightSampler {
 }
 
 /** EO — extended Olken's: walk + accept/reject against the Olken size
-  * bound W = |R_root| · Π_edges M_attrs(child) (§3.2). A successful walk
+  * bound W = |R_root| · Π_edges M_attrs(child) (§3.2), with M the
+  * child's [[Rel.maxDegree]]. A successful walk
   * with probability p(t) is accepted with probability 1/(p(t)·W), which
   * makes every accepted tuple uniform (1/W per attempt). Dangling tuples
   * get weight 0 for free: their walks die at the inner join.
@@ -211,7 +202,9 @@ final class OlkenSampler(val join: JoinSpec,
       val want = n - got.size
       val batch = math.min(65536, math.max(64, math.ceil(want / math.max(rateEst, 1e-4)).toInt))
       val wb = WanderJoin.walkBatch(join, batch, seed + 104729L * round + rng.nextInt(1 << 20))
+      // Olken-rejected and surplus accepted tuples, in walk order
       val rejected = scala.collection.mutable.ArrayBuffer.empty[JTuple]
+      var surplus = 0
       var predDropped = 0
       wb.samples.foreach { t =>
         val pAcc = 1.0 / (t.p * bound)
@@ -219,11 +212,11 @@ final class OlkenSampler(val join: JoinSpec,
         // predicate-rejected tuples are dropped entirely: they are not in
         // σ_pred(J) and must not enter reuse pools either
         else if (rng.nextDouble() < pAcc) {
-          if (got.size < n) got += t else rejected += t
+          if (got.size < n) got += t else { rejected += t; surplus += 1 }
         }
         else rejected += t
       }
-      stats += DrawStats(batch, wb.failures, rejected.size + predDropped,
+      stats += DrawStats(batch, wb.failures, rejected.size - surplus + predDropped,
         rejected.toIndexedSeq)
       val acc = stats.walkAttempts - stats.walkFailures - stats.rejected
       rateEst = math.max(1e-3, acc.toDouble / math.max(1, stats.walkAttempts))

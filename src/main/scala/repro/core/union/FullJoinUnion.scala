@@ -6,10 +6,10 @@ import repro.core._
 import repro.core.walk.{JTuple, WanderJoin}
 
 /** The FullJoinUnion baseline (§9): materialize every join, compute exact
-  * sizes, exact overlaps of every subset (`INTERSECT`), the exact set
-  * union (`UNION` + `distinct`) and exact uniform samples. This is the
-  * ground truth the estimators are scored against — and the expensive
-  * brute force the framework exists to avoid.
+  * sizes, exact overlaps of every subset (`INTERSECT`) and the exact set
+  * union (`UNION` + `distinct`). This is the ground truth the estimators
+  * are scored against — and the expensive brute force the framework
+  * exists to avoid.
   */
 final class FullJoinUnion(val joins: Seq[JoinSpec]) {
   val n: Int = joins.size
@@ -42,21 +42,4 @@ final class FullJoinUnion(val joins: Seq[JoinSpec]) {
 
   /** Canonical keys of the whole union (test-scale only). */
   lazy val unionKeys: Set[String] = unionDf.collect().iterator.map(JTuple.key).toSet
-
-  /** Exact uniform i.i.d. sample (with replacement) from the union. */
-  def sampleUnion(count: Int, seed: Long): IndexedSeq[JTuple] = {
-    val indexed = Rel("__union", unionDf).indexed
-    val rng = new java.util.Random(seed)
-    val rids = IndexedSeq.fill(count)(rng.nextLong().abs % unionSize)
-    val byId = rids.groupBy(identity).map { case (k, v) => (k, v.size) }
-    val spark = unionDf.sparkSession
-    import spark.implicits._
-    val want = byId.toSeq.toDF("__rid", "__copies")
-    val rows = indexed.join(want, "__rid").collect()
-    rows.iterator.flatMap { r =>
-      val copies = r.getAs[Int]("__copies")
-      val vals = IndexedSeq.range(0, cols.size).map(i => r.get(r.fieldIndex(cols(i))))
-      Iterator.fill(copies)(JTuple(vals, 1.0 / unionSize))
-    }.toIndexedSeq
-  }
 }

@@ -27,7 +27,8 @@ import scala.collection.mutable.ArrayBuffer
   *    tuples. Every refill walk goes to the HT size statistics instead.
   *  - **Backtracking** (line 18): every φ recorded walk probabilities, the
   *    parameters are re-estimated with the RANDOM-WALK method from all
-  *    walks so far, and every tuple already in T is re-accepted with
+  *    walks so far (an estimate anchored at a join not walked yet keeps
+  *    its value), and every tuple already in T is re-accepted with
   *    probability min(1, α'_j/α_j) so the sample follows the refreshed
   *    |J'_j|/|U|. Updates stop once the size estimates reach the target
   *    confidence level γ.
@@ -68,6 +69,7 @@ final class OnlineUnionSampler(joins: Seq[JoinSpec],
     var poolNs: Long = 0          // time spent serving from the pool
     var copiesCapped: Int = 0     // pool pops whose ⌊R⌋+Bern copies were cut to MaxCopies
     var walksRecorded: Int = 0    // refill walk outcomes added to the HT statistics
+    var estimatesKept: Int = 0    // re-estimated |O_Δ| kept from before: anchor join not walked yet
 
     def poolMs: Long = poolNs / 1000000
   }
@@ -137,7 +139,7 @@ final class OnlineUnionSampler(joins: Seq[JoinSpec],
       // -- backtracking with parameter update (Alg. 2 line 18) ------------
       if (recordedP >= phi && !confident) {
         recordedP = 0
-        val newParams = reestimate()
+        val newParams = reestimate(params, stats)
         stats.backtracks += 1
         stats.backtrackRemoved += book.retain { case (_, tj) =>
           val ratioOld = params.alphas(tj)
@@ -152,13 +154,18 @@ final class OnlineUnionSampler(joins: Seq[JoinSpec],
     UnionSample(book.tuples.take(count), stats)
   }
 
-  /** Re-run the RANDOM-WALK parameter estimation over all walks so far. */
-  private def reestimate(): UnionParams = {
+  /** Re-run the RANDOM-WALK parameter estimation over all walks so far.
+    * An estimate anchored at a join with no walk yet keeps its value in
+    * `params` (counted in `estimatesKept`): a size of 0 would never select
+    * that join, so it would never be walked.
+    */
+  private def reestimate(params: UnionParams, stats: OnlineStats): UnionParams = {
     val batches = IndexedSeq.tabulate(n) { j =>
       WalkBatch(walked(j).toIndexedSeq, walkStats(j).n)
     }
+    stats.estimatesKept += params.overlaps.keys.count(d => batches(d.min).requested == 0)
     WarmUp.paramsFrom(n, (0 until n).map(walkStats(_).mean), batches,
-      WarmUp.memberships(joins, batches))
+      WarmUp.memberships(joins, batches), Some(params))
   }
 
   /** Confidence that the size estimates are settled: 1 − relative CI

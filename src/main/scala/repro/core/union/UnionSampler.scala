@@ -110,22 +110,3 @@ object UnionSampler {
     new UnionSampler(joins, params, samplers, seed)
   }
 }
-
-/** Sampling from the *disjoint* union (Def. 1) is the straightforward
-  * two-step sampler: pick join j with probability |J_j|/Σ|J_i|, then an
-  * i.i.d. tuple of J_j — no cover, no rejections.
-  */
-final class DisjointUnionSampler(joins: Seq[JoinSpec], params: UnionParams,
-                                 samplers: IndexedSeq[JoinTupleSampler], seed: Long) {
-  def sample(count: Int): IndexedSeq[(JTuple, Int)] = {
-    val rng = new java.util.Random(seed)
-    val tot = params.joinSizes.sum
-    val cum = params.joinSizes.map(_ / tot).scanLeft(0.0)(_ + _).tail
-    val quota = Array.fill(params.n)(0)
-    (0 until count).foreach(_ => quota(CoverBook.pick(cum, rng.nextDouble())) += 1)
-    val draws = (0 until params.n).flatMap { j =>
-      samplers(j).sample(quota(j), seed + j)._1.map((_, j))
-    }
-    new scala.util.Random(rng).shuffle(draws).toIndexedSeq
-  }
-}

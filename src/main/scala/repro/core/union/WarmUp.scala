@@ -76,14 +76,19 @@ object WarmUp {
 
   /** Assemble UnionParams from walk-based sizes + membership tables —
     * shared by the warm-up and by Algorithm 2's backtracking updates.
+    * Every |O_Δ| (|J_j| when Δ = {j}) is anchored at the smallest join of
+    * Δ. An anchor with no walk yet (`requested == 0`) has no estimate, so
+    * that entry keeps its value in `previous` when one is given.
     */
   def paramsFrom(n: Int, sizes: Seq[Double], batches: IndexedSeq[WalkBatch],
-                 memberships: Map[(Int, Int), Set[String]]): UnionParams = {
+                 memberships: Map[(Int, Int), Set[String]],
+                 previous: Option[UnionParams] = None): UnionParams = {
     val overlaps = (1 to n).flatMap { k =>
       (0 until n).combinations(k).map { idx =>
         val d = idx.toSet
         val est =
-          if (d.size == 1) sizes(d.head)
+          if (previous.isDefined && batches(d.min).requested == 0) previous.get.o(d)
+          else if (d.size == 1) sizes(d.head)
           else {
             val anchor = d.min
             val others = (d - anchor).toSeq

@@ -1,8 +1,28 @@
-package repro.core.union
+package repro
 
 import repro.core._
 import repro.core.join.JoinTupleSampler
+import repro.core.union._
 import repro.core.walk.JTuple
+
+/** Sampling from the *disjoint* union (Def. 1) is the straightforward
+  * two-step sampler: pick join j with probability |J_j|/Σ|J_i|, then an
+  * i.i.d. tuple of J_j — no cover, no rejections.
+  */
+final class DisjointUnionSampler(joins: Seq[JoinSpec], params: UnionParams,
+                                 samplers: IndexedSeq[JoinTupleSampler], seed: Long) {
+  def sample(count: Int): IndexedSeq[(JTuple, Int)] = {
+    val rng = new java.util.Random(seed)
+    val tot = params.joinSizes.sum
+    val cum = params.joinSizes.map(_ / tot).scanLeft(0.0)(_ + _).tail
+    val quota = Array.fill(params.n)(0)
+    (0 until count).foreach(_ => quota(CoverBook.pick(cum, rng.nextDouble())) += 1)
+    val draws = (0 until params.n).flatMap { j =>
+      samplers(j).sample(quota(j), seed + j)._1.map((_, j))
+    }
+    new scala.util.Random(rng).shuffle(draws).toIndexedSeq
+  }
+}
 
 /** The §3 baseline union sampler ("union trick"): each pass iterates all
   * joins, independently selects join j with Bernoulli probability
@@ -47,5 +67,31 @@ final class BernoulliUnionSampler(joins: Seq[JoinSpec], params: UnionParams,
       }
     }
     UnionSample(target.take(count).toIndexedSeq, stats)
+  }
+}
+
+object ExactUnionSampling {
+
+  /** Exact uniform sampling from the union that [[FullJoinUnion]]
+    * materializes.
+    */
+  implicit final class Sampler(fju: FullJoinUnion) {
+
+    /** Exact uniform i.i.d. sample (with replacement) from the union. */
+    def sampleUnion(count: Int, seed: Long): IndexedSeq[JTuple] = {
+      val indexed = Rel("__union", fju.unionDf).indexed
+      val rng = new java.util.Random(seed)
+      val rids = IndexedSeq.fill(count)(rng.nextLong().abs % fju.unionSize)
+      val byId = rids.groupBy(identity).map { case (k, v) => (k, v.size) }
+      val spark = fju.unionDf.sparkSession
+      import spark.implicits._
+      val want = byId.toSeq.toDF("__rid", "__copies")
+      val rows = indexed.join(want, "__rid").collect()
+      rows.iterator.flatMap { r =>
+        val copies = r.getAs[Int]("__copies")
+        val vals = IndexedSeq.range(0, fju.cols.size).map(i => r.get(r.fieldIndex(fju.cols(i))))
+        Iterator.fill(copies)(JTuple(vals, 1.0 / fju.unionSize))
+      }.toIndexedSeq
+    }
   }
 }

@@ -1,16 +1,19 @@
 package repro.core
 
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.types.{LongType, StructField, StructType}
 import repro.{Oracle, SparkSpec, ToyData}
 import repro.core.histogram.{ChainForm, HistogramOverlap, Splitter}
-import repro.core.stats.DegreeStats
 import repro.core.join.OlkenSampler
 import repro.core.union.{FullJoinUnion, UnionSampler, WarmUp}
 import repro.workloads.UnionWorkloads
 
-/** §5 degree statistics, Theorem 4 overlap bounds, §8.1 templates and the
-  * splitting method — bounds are checked for dominance over exact values
-  * from FullJoinUnion, and statistics against DuckDB.
+import scala.jdk.CollectionConverters._
+
+/** §5 degree statistics (a relation's key groups), Theorem 4 overlap
+  * bounds, §8.1 templates and the splitting method — bounds are checked
+  * for dominance over exact values from FullJoinUnion, and statistics
+  * against DuckDB.
   */
 class HistogramSpec extends SparkSpec {
 
@@ -19,28 +22,45 @@ class HistogramSpec extends SparkSpec {
   private lazy val uq1 = UnionWorkloads.uq1(spark, sf = 0.004, overlap = 0.3)
   private lazy val uq3 = UnionWorkloads.uq3(spark, sf = 0.004)
 
+  /** `r`'s groups on `attrs` as a frame: the key columns, then "deg". */
+  private def degreeFrame(r: Rel, attrs: Seq[String]): DataFrame = {
+    val rows = r.groups(attrs).toSeq.map { case (k, ids) =>
+      val vals = if (attrs.size == 1) Seq(k) else k.asInstanceOf[Seq[Any]]
+      Row.fromSeq(vals :+ ids.length.toLong)
+    }
+    val schema = StructType(attrs.map(r.df.schema(_)) :+ StructField("deg", LongType))
+    spark.createDataFrame(rows.asJava, schema)
+  }
+
   test("degree histogram matches DuckDB") {
     val b0 = toy.joins(0).relations(1)
-    Oracle.assertEquivalent(
-      DegreeStats.histogram(b0.df, "k").withColumnRenamed("deg", "deg"),
+    Oracle.assertEquivalent(degreeFrame(b0, Seq("k")),
       "SELECT k AS k, count(*) AS deg FROM b0 GROUP BY k",
       "b0" -> b0.df)
   }
 
   test("max and avg degree match DuckDB scalars") {
     val orders = uq1.joins.head.relations(3)
+    val degs = orders.groups(Seq("custkey")).values.map(_.length)
+    import spark.implicits._
     Oracle.assertEquivalent(
-      DegreeStats.histogram(orders.df, "custkey").agg(max("deg").as("m"), avg("deg").as("a")),
+      Seq((orders.maxDegree(Seq("custkey")), degs.sum.toDouble / degs.size)).toDF("m", "a"),
       "SELECT max(deg) AS m, avg(deg) AS a FROM " +
         "(SELECT custkey, count(*) AS deg FROM orders GROUP BY custkey)",
       "orders" -> orders.df)
-    assert(DegreeStats.maxDegree(orders.df, Seq("custkey")) >= 1)
+    assert(orders.maxDegree(Seq("custkey")) >= 1)
   }
 
   test("maxDegreeMulti on composite keys") {
     val (r, _, _) = ToyData.toyTriangleRels(spark)
-    assert(DegreeStats.maxDegree(r.df, Seq("a", "b")) == 1L)
-    assert(DegreeStats.maxDegree(r.df, Seq("a")) == DegreeStats.degrees(r.df, "a").values.max)
+    Oracle.assertEquivalent(degreeFrame(r, Seq("a", "b")),
+      "SELECT a AS a, b AS b, count(*) AS deg FROM r GROUP BY a, b",
+      "r" -> r.df)
+    assert(r.maxDegree(Seq("a", "b")) == 1L)
+    import spark.implicits._
+    Oracle.assertEquivalent(Seq(r.maxDegree(Seq("a"))).toDF("m"),
+      "SELECT max(deg) AS m FROM (SELECT a, count(*) AS deg FROM r GROUP BY a)",
+      "r" -> r.df)
   }
 
   test("ChainForm.aligned detects the §5.1 base case") {
@@ -106,7 +126,11 @@ class HistogramSpec extends SparkSpec {
   test("null join values add nothing to K(1), and the bound still dominates") {
     val w = ToyData.toyNullKeys(spark)
     val a = w.joins.head.relations.head
-    assert(DegreeStats.degrees(a.df, "k") == Map(1L -> 1L, 2L -> 1L, 3L -> 1L))
+    Oracle.assertEquivalent(degreeFrame(a, Seq("k")),
+      "SELECT k AS k, count(*) AS deg FROM a WHERE k IS NOT NULL GROUP BY k",
+      "a" -> a.df)
+    // A's two null rows are its largest group, but never join
+    assert(a.maxDegree(Seq("k")) == 1L)
     val est = HistogramOverlap.estimate(w.joins)
     // Theorem 4 by hand, non-null k only: d_A·d_B0 = {1: 2, 2: 1} and
     // d_A·d_B1 = {1: 1, 2: 2, 3: 1}, so |J0| ≤ 3, |J1| ≤ 4 and

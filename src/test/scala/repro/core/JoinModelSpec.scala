@@ -3,6 +3,7 @@ package repro.core
 import org.apache.spark.sql.Row
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, ToyData}
+import repro.ExactUnionSampling._
 import repro.core.union.FullJoinUnion
 import repro.core.walk.{JTuple, WanderJoin}
 

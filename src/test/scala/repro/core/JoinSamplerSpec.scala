@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.{ChiSquare, SparkSpec, ToyData}
 import repro.core.join._
-import repro.core.union.FullJoinUnion
+import repro.core.union.{FullJoinUnion, WarmUp}
 import repro.core.walk.WanderJoin
 import repro.workloads.UnionWorkloads
 
@@ -144,6 +144,34 @@ class JoinSamplerSpec extends SparkSpec {
     new OlkenSampler(j).prepare()
     val jobs = jobsDuring(new OlkenSampler(j).prepare())
     assert(jobs == 0, s"the second prepare() started $jobs Spark jobs")
+  }
+
+  test("EO counts only Olken rejections, not the surplus of its last round") {
+    // toy3's J0: B0 holds each k once, so W = |A| = 30 and every
+    // successful walk has p(t) = 1/W and passes the Olken test. A first
+    // round of 64 walks accepts more tuples than the 10 asked for.
+    val j = ToyData.toyUnion3(spark).joins.head
+    val s = new OlkenSampler(j)
+    assert(s.bound == 30.0)
+    val (ts, ds) = s.sample(10, seed = 4)
+    assert(ts.size == 10)
+    assert(ds.rejected == 0, s"${ds.rejected} rejections with an exact Olken test")
+    assert(ds.rejectedTuples.size == ds.walkAttempts - ds.walkFailures - 10)
+    assert(ds.rejectedTuples.nonEmpty, "no surplus: the test checks nothing")
+  }
+
+  test("HISTOGRAM warm-up and EW/EO prepare() collect each relation once") {
+    // A fresh UQ1, so no relation has collected its rows yet.
+    val w = UnionWorkloads.uq1(spark, sf = 0.004, overlap = 0.3)
+    val rels = w.joins.flatMap(_.relations).distinct
+    rels.foreach(_.count)
+    val jobs = jobsDuring {
+      WarmUp.histogram(w.joins)
+      w.joins.foreach { j => new ExactWeightSampler(j).prepare(); new OlkenSampler(j).prepare() }
+    }
+    assert(jobs <= rels.size, s"$jobs Spark jobs for ${rels.size} relations")
+    val again = jobsDuring(WarmUp.histogram(w.joins))
+    assert(again == 0, s"a second HISTOGRAM warm-up started $again Spark jobs")
   }
 
   test("EO samples lie in the join; rejections carry valid p(t)") {

@@ -44,6 +44,27 @@ class OnlineUnionSamplerSpec extends SparkSpec {
     assert(res.tuples.size == 400)
   }
 
+  test("without a warm-up every join is sampled and the sample is uniform (chi-square)") {
+    // A join not walked yet has no walk estimate: a re-estimate keeps its
+    // |J_j| and the overlaps anchored at it, instead of setting them to 0
+    // and never selecting the join again.
+    Seq(toy, ToyData.toyUnion3(spark)).foreach { w =>
+      val size = new FullJoinUnion(w.joins).unionSize.toInt
+      val n = 20 * size
+      val s = new OnlineUnionSampler(w.joins, WarmUp.histogram(w.joins), None, seed = 13, phi = 64)
+      val res = s.sample(n)
+      val st = res.stats.asInstanceOf[s.OnlineStats]
+      assert(st.backtracks > 0, s"${w.name}: no re-estimate happened")
+      assert(st.estimatesKept > 0, s"${w.name}: every join was walked before the first re-estimate")
+      val perJoin = res.tuples.groupBy(_._2).map { case (j, v) => j -> v.size }
+      assert(w.joins.indices.forall(perJoin.contains), s"${w.name}: samples per join $perJoin")
+      val counts = res.tuples.groupBy(_._1.key).map { case (k, v) => k -> v.size }
+      val chi = ChiSquare.statistic(counts, size, n)
+      val bound = ChiSquare.quantile999(size - 1)
+      assert(chi < bound, s"${w.name}: chi-square $chi over $size tuples, bound $bound")
+    }
+  }
+
   test("without reuse the sampler still works (pools disabled)") {
     val init = WarmUp.histogram(toy.joins)
     val s = new OnlineUnionSampler(toy.joins, init, None, seed = 6, reuse = false)

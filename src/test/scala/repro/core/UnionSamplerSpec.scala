@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.{ChiSquare, SparkSpec, ToyData}
+import repro.{BernoulliUnionSampler, ChiSquare, DisjointUnionSampler, SparkSpec, ToyData}
 import repro.core.union._
 import repro.core.walk.JTuple
 import repro.workloads.UnionWorkloads
