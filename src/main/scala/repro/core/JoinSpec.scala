@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import repro.core.join.JoinIndex
 
 /** One edge of a join tree: the child relation joins the tuple accumulated
   * so far on `attrs` (equality on shared column names). For chain and
@@ -51,14 +52,10 @@ sealed trait JoinSpec {
     fold(root.rel.df, root).select(outputCols.map(col): _*)
   }
 
-  /** Membership probe: which of `cands` (schema ⊇ outputCols) are tuples of
-    * this join? Valid because every attribute of every relation appears in
-    * the output, so a candidate belongs to the join iff its projection onto
-    * each relation's columns is an existing row of that relation.
-    * Implemented as a chain of `left_semi` joins — no join materialization.
+  /** The driver-side index that walks, membership probes and EW's DP run
+    * on. Built once per join, on first use.
     */
-  def members(cands: DataFrame): DataFrame =
-    relations.foldLeft(cands) { (c, r) => c.join(r.df, r.cols, "left_semi") }
+  lazy val index: JoinIndex = JoinIndex(this)
 }
 
 /** A chain join J = R_1 ⋈_{a_1} R_2 ⋈_{a_2} … ⋈_{a_{m-1}} R_m. */

@@ -2,17 +2,13 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.LongType
 import org.apache.spark.storage.StorageLevel
-
-import scala.jdk.CollectionConverters._
 
 /** A base relation participating in a join.
   *
   * Wraps a DataFrame with a name and caches derived artifacts the samplers
-  * need repeatedly: the row count, the rows on the driver grouped by each
-  * join key, and an `indexed` view carrying a dense 0-based row id
-  * (`__rid`) used for uniform root-tuple sampling by walks.
+  * need repeatedly: the row count, and the rows on the driver, numbered by
+  * position and grouped by each join key.
   *
   * Relations are assumed duplicate-free (the paper assumes joins have no
   * duplicate result tuples; our generators guarantee distinct rows).
@@ -29,18 +25,8 @@ final case class Rel(name: String, raw: DataFrame) {
 
   def cols: Seq[String] = df.columns.toSeq
 
-  /** [[rows]] as a cached frame, each row with its id `__rid` appended, so
-    * samplers can join driver-chosen ids back against it.
-    */
-  lazy val indexed: DataFrame = {
-    val numbered = rows.indices.map(i => Row.fromSeq(rows(i).toSeq :+ i.toLong))
-    val d = Rel.cached(df.sparkSession.createDataFrame(numbered.asJava,
-      df.schema.add("__rid", LongType, nullable = false)))
-    d.count()
-    d
-  }
-
-  /** The rows on the driver, sorted by all columns; row i has `__rid` i.
+  /** The rows on the driver, sorted by all columns; a row's id is its
+    * position, so ids depend only on the data, not on its partitioning.
     * One Spark job, a sort of one partition. Fails for a relation of more
     * than [[Rel.MaxDriverRows]] rows.
     */
@@ -77,13 +63,16 @@ object Rel {
   /** The most rows [[Rel.rows]] collects to the driver. */
   val MaxDriverRows: Int = 1 << 20
 
-  /** A row's join key on columns `at`: the value itself for one column, the
+  /** A row's join key on columns `at`. */
+  def key(r: Row, at: Seq[Int]): Any = key(at.map(r.get))
+
+  /** The join key of a key's values: the value itself for one column, the
     * values' sequence for several; null when a value is null.
     */
-  def key(r: Row, at: Seq[Int]): Any =
-    if (at.exists(r.isNullAt)) null
-    else if (at.size == 1) r.get(at.head)
-    else at.map(r.get)
+  def key(values: Seq[Any]): Any =
+    if (values.contains(null)) null
+    else if (values.size == 1) values.head
+    else values
 
   /** `df` marked for caching, unless its plan is cached already: frames
     * rebuilt with the same plan (a workload generated again, the ground

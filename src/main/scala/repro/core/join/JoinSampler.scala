@@ -1,10 +1,7 @@
 package repro.core.join
 
-import org.apache.spark.sql.Row
 import repro.core._
 import repro.core.walk.{JTuple, WanderJoin}
-
-import scala.collection.mutable.ArrayBuffer
 
 /** Per-draw accounting of a single-join sampler, consumed by the union
   * sampler's time-breakdown experiment and by Algorithm 2's size
@@ -39,49 +36,49 @@ trait JoinTupleSampler {
 
 /** EW — exact weights (Zhao et al.'s ground-truth instantiation).
   *
-  * A driver-side index, built once: every relation of the join tree as
-  * its [[Rel.rows]]. The bottom-up DP gives every row the exact number of
-  * join results it roots: a leaf row weighs 1; an inner row weighs the
-  * product over child edges of the total weight of its joinable child
-  * rows. Every edge maps each key group of the child ([[Rel.groups]]) to
-  * its positive-weight rows and their prefix sums
-  * ([[ExactWeightSampler.Cdf]]). The total root weight is |J| exactly,
-  * and a draw descends top-down — a binary search on the root CDF, then
-  * one inside the parent's key group on every edge — so it is uniform,
-  * has zero rejection and runs no Spark job.
+  * A bottom-up DP over the join's [[JoinIndex]], built once per sampler,
+  * gives every row the exact number of join results it roots: a leaf row
+  * weighs 1; an inner row weighs the product over child edges of the total
+  * weight of its joinable child rows. Every edge maps each key group of the
+  * child (the index's [[Rel.groups]]) to its positive-weight rows and their
+  * prefix sums ([[ExactWeightSampler.Cdf]]). The total root weight is |J|
+  * exactly, and a draw descends top-down — a binary search on the root CDF,
+  * then one inside the parent's key group on every edge — so it is
+  * uniform, has zero rejection and runs no Spark job.
   */
 final class ExactWeightSampler(val join: JoinSpec) extends JoinTupleSampler {
   import ExactWeightSampler._
 
-  join.root.edgesPreOrder.foreach { e =>
-    require(e.attrs.forall(parentOf(join.root, e).rel.cols.contains),
-      s"EW needs every edge attr in the direct parent (join ${join.name}); " +
-        "trees derived from cyclic joins must use the EO/walk sampler")
-  }
+  private def direct(t: JoinTree): Boolean =
+    t.children.forall(e => e.attrs.forall(t.rel.cols.contains) && direct(e.child))
+  require(direct(join.root),
+    s"EW needs every edge attr in the direct parent (join ${join.name}); " +
+      "trees derived from cyclic joins must use the EO/walk sampler")
 
-  private lazy val index: Index = Index(join)
+  private lazy val weights: Weights = Weights(join.index)
 
   /** Σ root weights — exactly |J|. */
-  lazy val totalWeight: Double = index.root.total
+  lazy val totalWeight: Double = weights.root.total
 
   /** p(t) of every returned tuple: uniform 1/|J|. */
   def tupleProbability: Double = if (totalWeight == 0) 0.0 else 1.0 / totalWeight
 
-  def prepare(): Unit = { index; () }
+  def prepare(): Unit = { weights; () }
 
   def sample(n: Int, seed: Long): (IndexedSeq[JTuple], DrawStats) = {
     if (n == 0 || totalWeight == 0) return (IndexedSeq.empty, DrawStats(0, 0, 0))
-    val ix = index
+    val ix = join.index
+    val w = weights
     val rng = new java.util.Random(seed)
     val p = tupleProbability
     val picked = new Array[Int](ix.rows.size) // row id per node, pre-order
     val out = IndexedSeq.fill(n) {
-      picked(0) = ix.root.pick(rng.nextDouble() * ix.root.total)
-      ix.edges.foreach { e =>
-        val g = e.groups(picked(e.parent))
+      picked(0) = w.root.pick(rng.nextDouble() * w.root.total)
+      w.edges.foreach { e =>
+        val g = e.cdfs(picked(e.parent))
         picked(e.child) = g.pick(rng.nextDouble() * g.total)
       }
-      JTuple(ix.out.map { case (node, c) => ix.rows(node)(picked(node)).get(c) }, p)
+      JTuple(ix.tuple(picked), p)
     }
     (out, DrawStats(n, 0, 0))
   }
@@ -110,59 +107,31 @@ object ExactWeightSampler {
     }
   }
 
-  /** Edge `parent → child` (node numbers in pre-order): `groups(r)` is the
-    * CDF over the child's [[Rel.groups]] group that parent row r joins, or
-    * null when no child row joins it.
+  /** Edge `parent → child` of the index (nodes in pre-order): `cdfs(r)` is
+    * the CDF over the child's group that parent row r joins, or null when
+    * no child row joins it.
     */
-  private final class Edge(val parent: Int, val child: Int, val groups: Array[Cdf])
+  private final class Edge(val parent: Int, val child: Int, val cdfs: Array[Cdf])
 
-  /** The driver-side index of a join: rows per node in pre-order, the root
-    * CDF, the edges in pre-order and, per canonical output column, the
-    * (node, column) it is read from.
-    */
-  private final class Index(val rows: IndexedSeq[Array[Row]], val root: Cdf,
-                            val edges: IndexedSeq[Edge], val out: IndexedSeq[(Int, Int)])
+  /** The DP's result: the root CDF and the index's edges in pre-order. */
+  private final class Weights(val root: Cdf, val edges: IndexedSeq[Edge])
 
-  private object Index {
-    def apply(join: JoinSpec): Index = {
-      val rows = ArrayBuffer.empty[Array[Row]]
-      val cols = ArrayBuffer.empty[Seq[String]]
-      val edges = ArrayBuffer.empty[Edge]
-
-      // Bottom-up DP. Nodes are numbered in pre-order, and an edge sorts
-      // by its child, so sorted edges are in pre-order too.
-      def weigh(t: JoinTree): Array[Double] = {
-        val me = rows.size
-        val rs = t.rel.rows
-        rows += rs; cols += t.rel.cols
-        val w = Array.fill(rs.length)(1.0)
-        t.children.foreach { e =>
-          val child = rows.size
-          val cw = weigh(e.child)
-          val byKey = e.child.rel.groups(e.attrs).map { case (k, ids) => k -> new Cdf(ids, cw) }
-          val pAt = e.attrs.map(t.rel.cols.indexOf)
-          val groups = rs.map(r => byKey.getOrElse(Rel.key(r, pAt), null))
-          edges += new Edge(me, child, groups)
-          w.indices.foreach(r => w(r) *= (if (groups(r) == null) 0.0 else groups(r).total))
-        }
-        w
+  private object Weights {
+    def apply(ix: JoinIndex): Weights = {
+      val w = ix.rows.map(rs => Array.fill(rs.length)(1.0))
+      val cdfs = new Array[Array[Cdf]](ix.edges.size)
+      // A node's children follow it in pre-order, so in reverse pre-order
+      // their weights are final before the node's are computed.
+      for (node <- ix.rows.indices.reverse; i <- ix.edges.indices if ix.edges(i).parent == node) {
+        val e = ix.edges(i)
+        val byKey = e.groups.map { case (k, ids) => k -> new Cdf(ids, w(e.child)) }
+        val pAt = e.attrs.map(ix.rels(node).cols.indexOf)
+        cdfs(i) = ix.rows(node).map(r => byKey.getOrElse(Rel.key(r, pAt), null))
+        w(node).indices.foreach(r => w(node)(r) *= (if (cdfs(i)(r) == null) 0.0 else cdfs(i)(r).total))
       }
-
-      val w = weigh(join.root)
-      val out = WanderJoin.canonCols(join).map { c =>
-        val node = cols.indexWhere(_.contains(c))
-        (node, cols(node).indexOf(c))
-      }
-      new Index(rows.toIndexedSeq, new Cdf(w.indices.toArray, w),
-        edges.sortBy(_.child).toIndexedSeq, out.toIndexedSeq)
+      new Weights(new Cdf(w(0).indices.toArray, w(0)),
+        ix.edges.indices.map(i => new Edge(ix.edges(i).parent, ix.edges(i).child, cdfs(i))))
     }
-  }
-
-  private def parentOf(root: JoinTree, edge: JoinEdge): JoinTree = {
-    def find(t: JoinTree): Option[JoinTree] =
-      if (t.children.exists(_ eq edge)) Some(t)
-      else t.children.view.flatMap(e => find(e.child)).headOption
-    find(root).get
   }
 }
 
@@ -184,7 +153,7 @@ final class OlkenSampler(val join: JoinSpec,
 
   /** The extended-Olken upper bound on |J|. */
   lazy val bound: Double =
-    join.root.edgesPreOrder.foldLeft(join.root.rel.count.toDouble) { (acc, e) =>
+    join.root.edgesPreOrder.foldLeft(join.index.rows(0).length.toDouble) { (acc, e) =>
       acc * e.child.rel.maxDegree(e.attrs)
     }
 

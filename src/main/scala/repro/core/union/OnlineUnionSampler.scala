@@ -61,6 +61,18 @@ final class OnlineUnionSampler(joins: Seq[JoinSpec],
   private val walkStats: IndexedSeq[WalkStats] =
     IndexedSeq.tabulate(n)(j => warmup.fold(new WalkStats)(w => WalkStats.of(w.batches(j))))
 
+  /** Membership tables of `walked`: (j, i) ↦ keys of join j's walked tuples
+    * found in join i, seeded from the warm-up's. The first `probed(j)`
+    * tuples of `walked(j)` are in them; a re-estimate probes only the rest,
+    * since membership does not change.
+    */
+  private val memb =
+    scala.collection.mutable.Map.from(warmup.fold(Map.empty[(Int, Int), Set[String]])(_.memberships))
+  private val probed = Array.tabulate(n)(warm(_).size)
+
+  /** Join j's successful walks so far: the warm-up's, then every refill's. */
+  private[core] def walks(j: Int): IndexedSeq[JTuple] = walked(j).toIndexedSeq
+
   final class OnlineStats extends UnionStats {
     var poolHits: Int = 0         // tuples served from the reuse pool
     var poolRejected: Int = 0
@@ -70,6 +82,7 @@ final class OnlineUnionSampler(joins: Seq[JoinSpec],
     var copiesCapped: Int = 0     // pool pops whose ⌊R⌋+Bern copies were cut to MaxCopies
     var walksRecorded: Int = 0    // refill walk outcomes added to the HT statistics
     var estimatesKept: Int = 0    // re-estimated |O_Δ| kept from before: anchor join not walked yet
+    val reestimates = ArrayBuffer.empty[OnlineUnionSampler.Reestimate] // one per backtrack
 
     def poolMs: Long = poolNs / 1000000
   }
@@ -163,9 +176,18 @@ final class OnlineUnionSampler(joins: Seq[JoinSpec],
     val batches = IndexedSeq.tabulate(n) { j =>
       WalkBatch(walked(j).toIndexedSeq, walkStats(j).n)
     }
+    val fresh = batches.indices.map { j =>
+      val ts = batches(j).samples.drop(probed(j))
+      WalkBatch(ts, ts.size)
+    }
+    WarmUp.memberships(joins, fresh).foreach { case (ji, keys) => memb(ji) = memb.getOrElse(ji, Set.empty) ++ keys }
+    batches.indices.foreach(j => probed(j) = batches(j).samples.size)
     stats.estimatesKept += params.overlaps.keys.count(d => batches(d.min).requested == 0)
-    WarmUp.paramsFrom(n, (0 until n).map(walkStats(_).mean), batches,
-      WarmUp.memberships(joins, batches), Some(params))
+    val sizes = (0 until n).map(walkStats(_).mean)
+    val next = WarmUp.paramsFrom(n, sizes, batches, memb.toMap, Some(params))
+    stats.reestimates += OnlineUnionSampler.Reestimate(
+      batches.map(_.samples.size), batches.map(_.requested), sizes, next)
+    next
   }
 
   /** Confidence that the size estimates are settled: 1 − relative CI
@@ -179,6 +201,13 @@ final class OnlineUnionSampler(joins: Seq[JoinSpec],
 }
 
 object OnlineUnionSampler {
+
+  /** What one backtrack's re-estimate read and produced: per join, the
+    * walked tuples ([[OnlineUnionSampler.walks]]' first `walked(j)`), the
+    * walks recorded and the size estimate; then the new parameters.
+    */
+  final case class Reestimate(walked: IndexedSeq[Int], recorded: IndexedSeq[Int],
+                              sizes: IndexedSeq[Double], params: UnionParams)
 
   /** The most instances one pooled tuple emits. It guards against
     * degenerate |J_j| under-estimates (R = 1/(p(t)·|J_j|) grows without

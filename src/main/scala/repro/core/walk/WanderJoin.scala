@@ -1,9 +1,6 @@
 package repro.core.walk
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.StructType
+import org.apache.spark.sql.Row
 import repro.core._
 
 /** One successfully joined walk: the result tuple's values aligned to the
@@ -72,72 +69,24 @@ object WalkStats {
   }
 }
 
-/** Vectorized wander join (§6.1): a batch of W random walks over the join
-  * data graph is one DataFrame; every walk step joins the frontier with
-  * the next relation and picks one joinable tuple uniformly per walk via a
-  * window (`row_number` over a random order), dividing the walk's
-  * probability by the observed degree. No join is materialized; walks that
-  * hit a dangling tuple die (inner join drops them).
+/** Wander join (§6.1) over the join's driver-side index
+  * ([[JoinSpec.index]]): walks and membership probes are hash lookups and
+  * start no Spark job once the index exists.
   */
 object WanderJoin {
-
-  /** Spark schema of the canonical output tuple of `join`. */
-  def canonSchema(join: JoinSpec): StructType = {
-    val fields = join.relations.flatMap(r => r.df.schema.fields).map(f => f.name -> f).toMap
-    StructType(canonCols(join).map(fields))
-  }
 
   /** Canonical (sorted) column order shared by all joins of a workload. */
   def canonCols(join: JoinSpec): Seq[String] = join.outputCols.sorted
 
-  /** Run `n` random walks over `join`. */
+  /** Run `n` random walks over `join`, seeded from `java.util.Random(seed)`. */
   def walkBatch(join: JoinSpec, n: Int, seed: Long): WalkBatch = {
-    if (n == 0) return WalkBatch(IndexedSeq.empty, 0)
-    val spark = join.root.rel.df.sparkSession
-    val rootCount = join.root.rel.count
-
-    var frontier = spark.range(n.toLong)
-      .select(
-        col("id").as("__wid"),
-        least(lit(rootCount - 1), floor(rand(seed) * rootCount)).cast("long").as("__rid"))
-      .join(join.root.rel.indexed, "__rid")
-      .drop("__rid")
-      .withColumn("__p", lit(1.0 / rootCount))
-
-    join.root.edgesPreOrder.zipWithIndex.foreach { case (edge, step) =>
-      val w = Window.partitionBy("__wid")
-      val ord = w.orderBy(rand(seed + 1000 + step))
-      frontier = frontier.join(edge.child.rel.df, edge.attrs)
-        .withColumn("__d", count(lit(1)).over(w))
-        .withColumn("__rn", row_number().over(ord))
-        .filter(col("__rn") === 1)
-        .withColumn("__p", col("__p") / col("__d"))
-        .drop("__d", "__rn")
-    }
-
-    val cols = canonCols(join)
-    val rows = frontier.select((cols.map(col) :+ col("__p")): _*).collect()
-    val samples = rows.iterator.map { r =>
-      JTuple(IndexedSeq.range(0, cols.size).map(r.get), r.getDouble(cols.size))
-    }.toIndexedSeq
-    WalkBatch(samples, n)
+    val rng = new java.util.Random(seed)
+    WalkBatch(Iterator.fill(n)(join.index.walk(rng)).flatten.toIndexedSeq, n)
   }
 
-  /** Which of `tuples` (canonical values of `src`-schema tuples) are
-    * members of `join`? Returns the member keys. Implemented as the
-    * semi-join membership probe of [[JoinSpec.members]] over a small
-    * candidate DataFrame.
+  /** Which of `tuples` (canonical values of tuples of a join of the same
+    * workload) are tuples of `join`? Returns the member keys.
     */
-  def membership(join: JoinSpec, tuples: Seq[JTuple]): Set[String] = {
-    if (tuples.isEmpty) return Set.empty
-    val spark = join.root.rel.df.sparkSession
-    val schema = canonSchema(join)
-    val distinctVals = tuples.groupBy(_.key).map(_._2.head).toSeq
-    val rows: java.util.List[Row] = new java.util.ArrayList[Row]()
-    distinctVals.foreach(t => rows.add(Row.fromSeq(t.values)))
-    val cands = spark.createDataFrame(rows, schema)
-    val cols = canonCols(join)
-    val kept = join.members(cands).select(cols.map(col): _*).collect()
-    kept.iterator.map(JTuple.key).toSet
-  }
+  def membership(join: JoinSpec, tuples: Seq[JTuple]): Set[String] =
+    tuples.iterator.filter(t => join.index.contains(t.values)).map(_.key).toSet
 }

@@ -79,19 +79,10 @@ object ExactUnionSampling {
 
     /** Exact uniform i.i.d. sample (with replacement) from the union. */
     def sampleUnion(count: Int, seed: Long): IndexedSeq[JTuple] = {
-      val indexed = Rel("__union", fju.unionDf).indexed
+      val rows = Rel("__union", fju.unionDf).rows
       val rng = new java.util.Random(seed)
-      val rids = IndexedSeq.fill(count)(rng.nextLong().abs % fju.unionSize)
-      val byId = rids.groupBy(identity).map { case (k, v) => (k, v.size) }
-      val spark = fju.unionDf.sparkSession
-      import spark.implicits._
-      val want = byId.toSeq.toDF("__rid", "__copies")
-      val rows = indexed.join(want, "__rid").collect()
-      rows.iterator.flatMap { r =>
-        val copies = r.getAs[Int]("__copies")
-        val vals = IndexedSeq.range(0, fju.cols.size).map(i => r.get(r.fieldIndex(fju.cols(i))))
-        Iterator.fill(copies)(JTuple(vals, 1.0 / fju.unionSize))
-      }.toIndexedSeq
+      IndexedSeq.fill(count)(rows((rng.nextLong().abs % rows.length).toInt))
+        .map(r => JTuple(r.toSeq.toIndexedSeq, 1.0 / rows.length))
     }
   }
 }

@@ -50,20 +50,52 @@ class JoinModelSpec extends SparkSpec {
     assert(star.outputCols == Seq("k", "rv", "sv", "tv"))
   }
 
-  test("membership probe agrees with the materialized join") {
-    val j0 = toy.joins(0)
-    val j1 = toy.joins(1)
-    val cols = WanderJoin.canonCols(j0)
-    def keysOf(j: JoinSpec): Set[String] =
-      j.fullJoin.select(cols.map(col): _*).collect().map(JTuple.key).toSet
-    val k0 = keysOf(j0)
-    val k1 = keysOf(j1)
-    val t0 = j0.fullJoin.select(cols.map(col): _*).collect().map(r =>
+  /** Join j's tuples as probe candidates, in canonical column order. */
+  private def tuplesOf(j: JoinSpec): Seq[JTuple] = {
+    val cols = WanderJoin.canonCols(j)
+    j.fullJoin.select(cols.map(col): _*).collect().map(r =>
       JTuple(IndexedSeq.range(0, cols.size).map(r.get), 1.0)).toSeq
-    // every tuple of J0 is a member of J0…
+  }
+
+  /** J0's tuples probed against J0 are its keys, and against J1 exactly
+    * the keys J0 and J1 share.
+    */
+  private def assertProbes(j0: JoinSpec, j1: JoinSpec): Unit = {
+    val t0 = tuplesOf(j0)
+    val k0 = t0.map(_.key).toSet
+    val k1 = tuplesOf(j1).map(_.key).toSet
+    assert(k0.nonEmpty)
     assert(WanderJoin.membership(j0, t0) == k0)
-    // …and its members in J1 are exactly the overlap
     assert(WanderJoin.membership(j1, t0) == (k0 intersect k1))
+  }
+
+  test("membership probe agrees with the materialized join") {
+    assertProbes(toy.joins(0), toy.joins(1))
+
+    // Null join keys: a candidate whose every projection is a row, but
+    // whose key is null, is in no join.
+    val nulls = ToyData.toyNullKeys(spark)
+    assertProbes(nulls.joins(0), nulls.joins(1))
+    assertProbes(nulls.joins(1), nulls.joins(0))
+    val nullKey = JTuple(IndexedSeq("A0", 99L, null), 1.0) // (atag, bval, k)
+    nulls.joins.foreach(j => assert(WanderJoin.membership(j, Seq(nullKey)).isEmpty))
+
+    // Cyclic: the skeleton r ⋈ s holds tuples the residual t rules out.
+    val tri = ToyData.toyTriangle(spark)
+    val skeleton = AcyclicJoin("tri_skeleton", tri.root.copy(children = tri.root.children.init))
+    val cands = tuplesOf(skeleton)
+    val triKeys = tuplesOf(tri).map(_.key).toSet
+    assert(cands.size > triKeys.size)
+    assert(WanderJoin.membership(tri, cands) == triKeys)
+
+    // A null outside the join keys: the tuple is still a tuple of its join.
+    import spark.implicits._
+    val a = Rel("np_a", Seq[(Long, String)]((1L, null), (2L, "A2"), (3L, "A3")).toDF("k", "atag"))
+    def b(name: String, rows: (Long, Long)*) = Rel(name, rows.toDF("k", "bval"))
+    val j0 = ChainJoin("np_J0", Seq(a, b("np_b0", (1L, 10L), (2L, 20L))), Seq("k"))
+    val j1 = ChainJoin("np_J1", Seq(a, b("np_b1", (1L, 10L), (3L, 30L))), Seq("k"))
+    assertProbes(j0, j1)
+    assert(WanderJoin.membership(j1, tuplesOf(j0)) == Set(JTuple.key(Seq(null, 10L, 1L))))
   }
 
   test("membership probe on empty candidates") {

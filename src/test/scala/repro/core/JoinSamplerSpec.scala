@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.{ChiSquare, SparkSpec, ToyData}
 import repro.core.join._
-import repro.core.union.{FullJoinUnion, WarmUp}
+import repro.core.union.{FullJoinUnion, OnlineUnionSampler, RandomWalkWarmup, WarmUp}
 import repro.core.walk.WanderJoin
 import repro.workloads.UnionWorkloads
 
@@ -106,6 +106,49 @@ class JoinSamplerSpec extends SparkSpec {
     s.prepare()
     val jobs = jobsDuring(assert(s.sample(2000, seed = 13)._1.size == 2000))
     assert(jobs == 0, s"sampling started $jobs Spark jobs")
+  }
+
+  /** UQ1's joins over its relations held in `k` partitions. */
+  private def partitioned(k: Int): Seq[JoinSpec] = uq1.joins.map {
+    case j: ChainJoin => j.copy(rels = j.rels.map(r => Rel(r.name, r.df.repartition(k))))
+    case j => j
+  }
+
+  test("walks, EO draws and ONLINE-UNION depend on the data, not its partitioning") {
+    val one = partitioned(1)
+    val seven = partitioned(7)
+    assert(WanderJoin.walkBatch(one.head, 500, seed = 15) == WanderJoin.walkBatch(seven.head, 500, seed = 15))
+    val warm1 = WarmUp.randomWalk(one, 300, seed = 16)
+    val warm7 = WarmUp.randomWalk(seven, 300, seed = 16)
+    assert(warm1.params == warm7.params && warm1.batches == warm7.batches)
+    assert(new OlkenSampler(one(1)).sample(200, seed = 17) == new OlkenSampler(seven(1)).sample(200, seed = 17))
+    def session(joins: Seq[JoinSpec], warm: RandomWalkWarmup) = {
+      val s = new OnlineUnionSampler(joins, WarmUp.histogram(joins), Some(warm), seed = 18, phi = 64)
+      val res = s.sample(300)
+      (res.tuples, res.stats.asInstanceOf[s.OnlineStats].reestimates.toSeq)
+    }
+    val (t1, r1) = session(one, warm1)
+    val (t7, r7) = session(seven, warm7)
+    assert(r1.nonEmpty, "no backtrack: the parameter updates were not compared")
+    assert(t1 == t7 && r1 == r7)
+  }
+
+  test("after the relations are collected, walks, probes, EO and ONLINE-UNION start no Spark job") {
+    val w = UnionWorkloads.uq2(spark, sf = 0.004)
+    w.joins.flatMap(_.relations).distinct.foreach(_.rows)
+    val init = WarmUp.histogram(w.joins)
+    val jobs = jobsDuring {
+      val wb = WanderJoin.walkBatch(w.joins(0), 300, seed = 19)
+      assert(wb.samples.nonEmpty)
+      WanderJoin.membership(w.joins(1), wb.samples)
+      // a small warm-up, so its pools drain and the session refills and backtracks
+      val warm = WarmUp.randomWalk(w.joins, 100, seed = 20)
+      assert(new OlkenSampler(w.joins(2)).sample(100, seed = 21)._1.size == 100)
+      val s = new OnlineUnionSampler(w.joins, init, Some(warm), seed = 22, phi = 64, reuse = true)
+      val st = s.sample(1000).stats.asInstanceOf[s.OnlineStats]
+      assert(st.poolHits > 0 && st.backtracks > 0, s"pool hits ${st.poolHits}, backtracks ${st.backtracks}")
+    }
+    assert(jobs == 0, s"$jobs Spark jobs")
   }
 
   test("EW is uniform on every UQ1 join (chi-square at the 0.999 quantile)") {

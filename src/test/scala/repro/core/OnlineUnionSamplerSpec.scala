@@ -2,6 +2,7 @@ package repro.core
 
 import repro.{ChiSquare, SparkSpec, ToyData}
 import repro.core.union._
+import repro.core.walk.WalkBatch
 import repro.workloads.UnionWorkloads
 
 /** Algorithm 2 — online union sampling with reuse and backtracking. */
@@ -125,6 +126,25 @@ class OnlineUnionSamplerSpec extends SparkSpec {
     assert(st.walkAttempts > 0, "no refill happened")
     assert(st.walksRecorded == st.walkAttempts,
       s"${st.walksRecorded} walks recorded of ${st.walkAttempts} attempted")
+  }
+
+  test("re-estimates probe only new walks and give the parameters of a full re-probe") {
+    // Membership does not change, so the tables a session keeps (seeded
+    // from the warm-up, extended by each re-estimate's new walks) must give
+    // the parameters that probing every walk again gives.
+    val w = ToyData.toyUnion3(spark)
+    val warm = WarmUp.randomWalk(w.joins, walksPerJoin = 200, seed = 14)
+    val init = WarmUp.histogram(w.joins)
+    val s = new OnlineUnionSampler(w.joins, init, Some(warm), seed = 15, phi = 64)
+    val st = s.sample(600).stats.asInstanceOf[s.OnlineStats]
+    assert(st.reestimates.size > 1, s"${st.reestimates.size} re-estimates")
+    st.reestimates.foldLeft(init) { (prev, r) =>
+      val batches = w.joins.indices.map(j => WalkBatch(s.walks(j).take(r.walked(j)), r.recorded(j)))
+      val full = WarmUp.paramsFrom(w.joins.size, r.sizes, batches,
+        WarmUp.memberships(w.joins, batches), Some(prev))
+      assert(r.params == full)
+      r.params
+    }
   }
 
   test("pool copies cut at MaxCopies are counted") {

@@ -57,6 +57,18 @@ class WalkSpec extends SparkSpec {
     assert(rel < 0.35, s"estimate ${wb.sizeEstimate} vs exact $exact (rel err $rel)")
   }
 
+  test("walks on the cyclic triangle read the residual key from earlier siblings") {
+    // The residual t(c, a) joins on c, from the sibling s, and a, from the
+    // root r: every walk that survives is a triangle tuple.
+    val tri = ToyData.toyTriangle(spark)
+    val keys = new FullJoinUnion(Seq(tri)).unionKeys
+    val wb = WanderJoin.walkBatch(tri, 4000, seed = 6)
+    assert(wb.failures > 0 && wb.samples.nonEmpty)
+    assert(wb.samples.forall(t => keys.contains(t.key)))
+    val rel = math.abs(wb.sizeEstimate - keys.size) / keys.size
+    assert(rel < 0.1, s"estimate ${wb.sizeEstimate} vs exact ${keys.size}")
+  }
+
   test("WalkStats implements the online update formula exactly") {
     val s = new WalkStats
     val fs = Seq(4.0, 0.0, 10.0, 2.0, 8.0, 0.0, 5.0)
