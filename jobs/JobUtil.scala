@@ -9,7 +9,7 @@ import org.apache.spark.sql.SparkSession
   */
 object JobUtil {
   def session(app: String): SparkSession = {
-    val s = SparkSession.builder
+    val s = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(app)
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))

@@ -24,9 +24,9 @@ object KOverlap {
     * A_j^k = Σ_{Δ∋j,|Δ|=k} o(Δ) − Σ_{r>k} C(r−1,k−1)·A_j^r.
     *
     * With estimated (upper-bound) overlaps the recursion can go negative;
-    * `clamp` floors each level at 0 — exact inputs never clamp.
+    * each level is floored at 0 — exact inputs never go below it.
     */
-  def aOverlaps(n: Int, j: Int, o: Set[Int] => Double, clamp: Boolean = true): Array[Double] = {
+  def aOverlaps(n: Int, j: Int, o: Set[Int] => Double): Array[Double] = {
     require(n >= 1 && j >= 0 && j < n)
     val a = Array.fill(n + 1)(0.0) // 1-based in k
     a(n) = o((0 until n).toSet)
@@ -35,24 +35,25 @@ object KOverlap {
       val sum = subsetsWith(n, k, j).map(o).sum
       val deduct = (k + 1 to n).map(r => choose(r - 1, k - 1).toDouble * a(r)).sum
       a(k) = sum - deduct
-      if (clamp && a(k) < 0) a(k) = 0.0
+      if (a(k) < 0) a(k) = 0.0
       k -= 1
     }
     a.drop(1) // index k-1 ↦ |A_j^k|
   }
 
   /** Eq. 1: |U| = Σ_j Σ_k |A_j^k| / k. */
-  def unionSizeByK(n: Int, o: Set[Int] => Double, clamp: Boolean = true): Double =
+  def unionSizeByK(n: Int, o: Set[Int] => Double): Double =
     (0 until n).map { j =>
-      val a = aOverlaps(n, j, o, clamp)
+      val a = aOverlaps(n, j, o)
       (1 to n).map(k => a(k - 1) / k).sum
     }.sum
 
   /** Cover sizes |J'_i| = |J_i \ ∪_{j<i} J_j| by inclusion–exclusion over
     * the joins preceding i in the cover order (the input order):
-    * |J'_i| = Σ_{Δ ⊆ {0..i−1}} (−1)^{|Δ|} o(Δ ∪ {i}).
+    * |J'_i| = Σ_{Δ ⊆ {0..i−1}} (−1)^{|Δ|} o(Δ ∪ {i}), floored at 0 (only
+    * estimated overlaps go below it).
     */
-  def coverSizes(n: Int, o: Set[Int] => Double, clamp: Boolean = true): Array[Double] = {
+  def coverSizes(n: Int, o: Set[Int] => Double): Array[Double] = {
     val out = Array.fill(n)(0.0)
     var i = 0
     while (i < n) {
@@ -60,13 +61,9 @@ object KOverlap {
       var acc = 0.0
       for (m <- 0 to i; d <- prior.combinations(m))
         acc += math.pow(-1, m) * o(d.toSet + i)
-      out(i) = if (clamp) math.max(0.0, acc) else acc
+      out(i) = math.max(0.0, acc)
       i += 1
     }
     out
   }
-
-  /** |U| as the sum of cover sizes (equals unionSizeByK on exact inputs). */
-  def unionSizeByCover(n: Int, o: Set[Int] => Double, clamp: Boolean = true): Double =
-    coverSizes(n, o, clamp).sum
 }

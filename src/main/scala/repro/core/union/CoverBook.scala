@@ -14,32 +14,27 @@ import repro.core.walk.JTuple
   */
 final class CoverBook(stats: UnionStats) {
   private val target = scala.collection.mutable.ArrayBuffer.empty[(JTuple, Int)]
-  private val owner = scala.collection.mutable.HashMap.empty[String, Int]
+  private val owner = scala.collection.mutable.HashMap.empty[IndexedSeq[Any], Int]
 
   def size: Int = target.size
 
   /** The accepted tuples, in acceptance order, with their owning join. */
   def tuples: IndexedSeq[(JTuple, Int)] = target.toIndexedSeq
 
-  def owners: scala.collection.Map[String, Int] = owner
+  /** The owner of every value seen, keyed by the tuple's `values`. */
+  def owners: scala.collection.Map[IndexedSeq[Any], Int] = owner
 
   /** Offer a draw `t` of join `j`; true iff it is accepted into T. */
-  def offer(t: JTuple, j: Int): Boolean = owner.get(t.key) match {
-    case Some(i) if i < j => stats.rejectedDup += 1; false
-    case Some(i) if i > j =>
+  def offer(t: JTuple, j: Int): Boolean = {
+    val i = owner.getOrElseUpdate(t.values, j)
+    if (i < j) { stats.rejectedDup += 1; return false }
+    if (i > j) {
       stats.revisions += 1
       val before = target.size
-      target.filterInPlace(_._1.key != t.key)
+      target.filterInPlace(_._1.values != t.values)
       stats.revisionRemoved += before - target.size
-      owner(t.key) = j
-      accept(t, j)
-    case Some(_) => accept(t, j)
-    case None =>
-      owner(t.key) = j
-      accept(t, j)
-  }
-
-  private def accept(t: JTuple, j: Int): Boolean = {
+      owner(t.values) = j
+    }
     target += ((t, j)); stats.accepted += 1; true
   }
 

@@ -3,7 +3,7 @@ package repro.core.union
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.core._
-import repro.core.walk.{JTuple, WanderJoin}
+import repro.core.walk.WanderJoin
 
 /** The FullJoinUnion baseline (§9): materialize every join, compute exact
   * sizes, exact overlaps of every subset (`INTERSECT`) and the exact set
@@ -40,6 +40,8 @@ final class FullJoinUnion(val joins: Seq[JoinSpec]) {
 
   lazy val unionSize: Long = unionDf.count()
 
-  /** Canonical keys of the whole union (test-scale only). */
-  lazy val unionKeys: Set[String] = unionDf.collect().iterator.map(JTuple.key).toSet
+  /** The tuples of the whole union, as the `values` of their canonical
+    * columns (test-scale only).
+    */
+  lazy val unionKeys: Set[IndexedSeq[Any]] = unionDf.collect().iterator.map(_.toSeq.toIndexedSeq).toSet
 }

@@ -61,14 +61,13 @@ final class OnlineUnionSampler(joins: Seq[JoinSpec],
   private val walkStats: IndexedSeq[WalkStats] =
     IndexedSeq.tabulate(n)(j => warmup.fold(new WalkStats)(w => WalkStats.of(w.batches(j))))
 
-  /** Membership tables of `walked`: (j, i) ↦ keys of join j's walked tuples
-    * found in join i, seeded from the warm-up's. The first `probed(j)`
-    * tuples of `walked(j)` are in them; a re-estimate probes only the rest,
+  /** Membership tables of `walked`: (j, i) ↦ one flag per probed tuple of
+    * `walked(j)`, in order, set when it is in join i; seeded from the
+    * warm-up's. A re-estimate probes only the tuples past the tables' end,
     * since membership does not change.
     */
   private val memb =
-    scala.collection.mutable.Map.from(warmup.fold(Map.empty[(Int, Int), Set[String]])(_.memberships))
-  private val probed = Array.tabulate(n)(warm(_).size)
+    scala.collection.mutable.Map.from(warmup.fold(Map.empty[(Int, Int), IndexedSeq[Boolean]])(_.memberships))
 
   /** Join j's successful walks so far: the warm-up's, then every refill's. */
   private[core] def walks(j: Int): IndexedSeq[JTuple] = walked(j).toIndexedSeq
@@ -99,7 +98,7 @@ final class OnlineUnionSampler(joins: Seq[JoinSpec],
     // failures. None of them enters a pool (see the class doc).
     def record(j: Int, f: Double): Unit = { walkStats(j).add(f); stats.walksRecorded += 1 }
     val buffers = IndexedSeq.tabulate(n) { j =>
-      new DrawBuffer(samplers(j), stats, seed + 1, (ts, ds) => {
+      new DrawBuffer(samplers(j), stats, rng.nextLong(), (ts, ds) => {
         (ts ++ ds.rejectedTuples).foreach { t => record(j, 1.0 / t.p); walked(j) += t }
         (0 until ds.walkFailures).foreach(_ => record(j, 0.0))
         recordedP += ds.walkAttempts
@@ -177,11 +176,14 @@ final class OnlineUnionSampler(joins: Seq[JoinSpec],
       WalkBatch(walked(j).toIndexedSeq, walkStats(j).n)
     }
     val fresh = batches.indices.map { j =>
-      val ts = batches(j).samples.drop(probed(j))
+      // Every table (j, i) covers the same prefix of walked(j).
+      val probed = memb.get((j, (j + 1) % n)).fold(0)(_.size)
+      val ts = batches(j).samples.drop(probed)
       WalkBatch(ts, ts.size)
     }
-    WarmUp.memberships(joins, fresh).foreach { case (ji, keys) => memb(ji) = memb.getOrElse(ji, Set.empty) ++ keys }
-    batches.indices.foreach(j => probed(j) = batches(j).samples.size)
+    WarmUp.memberships(joins, fresh).foreach { case (ji, flags) =>
+      memb(ji) = memb.getOrElse(ji, IndexedSeq.empty) ++ flags
+    }
     stats.estimatesKept += params.overlaps.keys.count(d => batches(d.min).requested == 0)
     val sizes = (0 until n).map(walkStats(_).mean)
     val next = WarmUp.paramsFrom(n, sizes, batches, memb.toMap, Some(params))

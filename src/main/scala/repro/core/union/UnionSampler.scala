@@ -40,19 +40,21 @@ final case class UnionSample(tuples: IndexedSeq[(JTuple, Int)], stats: UnionStat
 
 /** Per-join buffer of pre-drawn i.i.d. tuples: popping sequentially is
   * distributionally identical to drawing one-at-a-time, so the union
-  * sampler can consume single draws while Spark works in batches. Each
-  * refill's tuples and [[DrawStats]] go to `onRefill` before the first of
-  * them is popped (Algorithm 2 records its walks there).
+  * sampler can consume single draws while the join sampler works in
+  * batches. Each refill's tuples and [[DrawStats]] go to `onRefill` before
+  * the first of them is popped (Algorithm 2 records its walks there). Each
+  * refill is seeded by the next draw of `java.util.Random(seed)`, so
+  * buffers given different seeds share no refill stream.
   */
 final class DrawBuffer(sampler: JoinTupleSampler, stats: UnionStats, seed: Long,
                        onRefill: (IndexedSeq[JTuple], DrawStats) => Unit = (_, _) => ()) {
   private val buf = scala.collection.mutable.Queue.empty[JTuple]
-  private var round = 0
+  private val seeds = new java.util.Random(seed)
 
   def pop(chunk: Int): JTuple = {
     if (buf.isEmpty) {
       val t0 = System.nanoTime()
-      val (ts, ds) = sampler.sample(chunk, seed + 7907L * round)
+      val (ts, ds) = sampler.sample(chunk, seeds.nextLong())
       stats.drawNs += System.nanoTime() - t0
       stats.joinDraws += ts.size
       stats.walkAttempts += ds.walkAttempts
@@ -60,7 +62,6 @@ final class DrawBuffer(sampler: JoinTupleSampler, stats: UnionStats, seed: Long,
       stats.eoRejected += ds.rejected
       onRefill(ts, ds)
       buf ++= ts
-      round += 1
     }
     buf.dequeue()
   }
@@ -74,8 +75,10 @@ final class DrawBuffer(sampler: JoinTupleSampler, stats: UnionStats, seed: Long,
   * not-yet-owned part of J_j — the sampled realization of the cover J'_j.
   * The accept / reject / revise bookkeeping is [[CoverBook]]'s.
   *
-  * Draws are buffered per join ([[DrawBuffer]]) so Spark samples in
-  * batches while the bookkeeping consumes one tuple at a time.
+  * Draws are buffered per join ([[DrawBuffer]]) so the join samplers draw
+  * in batches while the bookkeeping consumes one tuple at a time. Each
+  * join's buffer is seeded by a draw of the sampler's generator: joins
+  * seeded alike would draw their k-th tuples from the same uniforms.
   */
 final class UnionSampler(joins: Seq[JoinSpec], params: UnionParams,
                          samplers: IndexedSeq[JoinTupleSampler], seed: Long) {
@@ -88,7 +91,7 @@ final class UnionSampler(joins: Seq[JoinSpec], params: UnionParams,
     val rng = new java.util.Random(seed)
     val cum = params.alphas.scanLeft(0.0)(_ + _).tail
     val stats = new UnionStats
-    val buffers = samplers.map(new DrawBuffer(_, stats, seed))
+    val buffers = samplers.map(new DrawBuffer(_, stats, rng.nextLong()))
     val book = new CoverBook(stats)
     while (book.size < count) {
       val j = CoverBook.pick(cum, rng.nextDouble())

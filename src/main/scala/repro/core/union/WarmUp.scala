@@ -5,14 +5,13 @@ import repro.core.histogram.HistogramOverlap
 import repro.core.walk._
 
 /** Result of a RANDOM-WALK warm-up: the estimated parameters, the walk
-  * batches (Algorithm 2 reuses their tuples), the per-join online HT
-  * statistics, and the membership tables `memb(j)(i)` = keys of join j's
-  * samples found in join i.
+  * batches (Algorithm 2 reuses their tuples), and the membership tables
+  * `memberships((j, i))`: one flag per sample of join j, in order, set when
+  * it is a tuple of join i.
   */
 final case class RandomWalkWarmup(params: UnionParams,
                                   batches: IndexedSeq[WalkBatch],
-                                  stats: IndexedSeq[WalkStats],
-                                  memberships: Map[(Int, Int), Set[String]])
+                                  memberships: Map[(Int, Int), IndexedSeq[Boolean]])
 
 /** The warm-up phase of Algorithm 1 (§4): produce `{|J_j|}, {|O_Δ|}` (and
   * therefore `{|J'_j|}, |U|`) by one of the framework's instantiations.
@@ -60,15 +59,15 @@ object WarmUp {
   }
 
   private def assemble(joins: Seq[JoinSpec], batches: IndexedSeq[WalkBatch]): RandomWalkWarmup = {
-    val stats = batches.map(WalkStats.of)
     val memb = memberships(joins, batches)
-    RandomWalkWarmup(paramsFrom(joins.size, stats.map(_.mean), batches, memb), batches, stats, memb)
+    RandomWalkWarmup(paramsFrom(joins.size, batches.map(WalkStats.of(_).mean), batches, memb), batches, memb)
   }
 
-  /** Membership tables: `(j, i)` ↦ keys of join j's walk samples found in
-    * join i, for every ordered pair of distinct joins.
+  /** Membership tables: `(j, i)` ↦ one flag per walk sample of join j, in
+    * order, set when it is a tuple of join i; for every ordered pair of
+    * distinct joins.
     */
-  def memberships(joins: Seq[JoinSpec], batches: IndexedSeq[WalkBatch]): Map[(Int, Int), Set[String]] =
+  def memberships(joins: Seq[JoinSpec], batches: IndexedSeq[WalkBatch]): Map[(Int, Int), IndexedSeq[Boolean]] =
     (for {
       j <- joins.indices
       i <- joins.indices if i != j
@@ -81,7 +80,7 @@ object WarmUp {
     * that entry keeps its value in `previous` when one is given.
     */
   def paramsFrom(n: Int, sizes: Seq[Double], batches: IndexedSeq[WalkBatch],
-                 memberships: Map[(Int, Int), Set[String]],
+                 memberships: Map[(Int, Int), IndexedSeq[Boolean]],
                  previous: Option[UnionParams] = None): UnionParams = {
     val overlaps = (1 to n).flatMap { k =>
       (0 until n).combinations(k).map { idx =>
@@ -94,7 +93,7 @@ object WarmUp {
             val others = (d - anchor).toSeq
             val pHat = RandomWalkOverlap.membershipFraction(
               batches(anchor).samples,
-              t => others.forall(i => memberships((anchor, i)).contains(t.key)))
+              s => others.forall(i => memberships((anchor, i))(s)))
             RandomWalkOverlap.overlapEstimate(sizes(anchor), pHat)
           }
         d -> est

@@ -1,7 +1,5 @@
 package repro.core.walk
 
-import repro.core._
-
 /** §6.2: overlap estimation from random-walk samples.
   *
   * Fixing an anchor join j ∈ Δ with walk samples S_j, the HT-weighted
@@ -13,13 +11,13 @@ import repro.core._
   */
 object RandomWalkOverlap {
 
-  /** p̂_Δ for anchor join `j`: `inAll(t)` answers whether t belongs to every
-    * other join of Δ (from the membership probes).
+  /** p̂_Δ for anchor join `j`: `inAll(k)` answers whether the k-th sample
+    * belongs to every other join of Δ (from the membership probes).
     */
-  def membershipFraction(samples: Seq[JTuple], inAll: JTuple => Boolean): Double = {
+  def membershipFraction(samples: IndexedSeq[JTuple], inAll: Int => Boolean): Double = {
     val tot = samples.map(t => 1.0 / t.p).sum
     if (tot == 0) 0.0
-    else samples.filter(inAll).map(t => 1.0 / t.p).sum / tot
+    else samples.indices.filter(inAll).map(k => 1.0 / samples(k).p).sum / tot
   }
 
   /** Eq. 2. */

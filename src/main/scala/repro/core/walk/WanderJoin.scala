@@ -1,23 +1,19 @@
 package repro.core.walk
 
-import org.apache.spark.sql.Row
 import repro.core._
 
 /** One successfully joined walk: the result tuple's values aligned to the
   * workload's canonical column order, and its walk probability
   * p(t) = 1/|R_root| · Π 1/d_i (§6.1).
+  *
+  * `values` is the tuple's identity, the value u = t.val of Example 3: the
+  * union samplers compare tuples by it.
   */
 final case class JTuple(values: IndexedSeq[Any], p: Double) {
-  /** Canonical identity of the tuple value u = t.val (Example 3). */
-  lazy val key: String = JTuple.key(values)
-}
-
-object JTuple {
-  /** The key of a tuple value: its fields' string forms joined by `␞`. */
-  def key(values: Seq[Any]): String = values.map(String.valueOf).mkString("␞")
-
-  /** The key of a collected row holding exactly the canonical columns. */
-  def key(r: Row): String = key(r.toSeq)
+  /** The fields' string forms joined by `␞`, built on each call. A
+    * display form, not an identity: `null` and `"null"` share it.
+    */
+  def key: String = values.map(String.valueOf).mkString("␞")
 }
 
 /** A batch of walks: `requested` walks were started, `samples` succeeded
@@ -85,8 +81,8 @@ object WanderJoin {
   }
 
   /** Which of `tuples` (canonical values of tuples of a join of the same
-    * workload) are tuples of `join`? Returns the member keys.
+    * workload) are tuples of `join`? One flag per tuple, in order.
     */
-  def membership(join: JoinSpec, tuples: Seq[JTuple]): Set[String] =
-    tuples.iterator.filter(t => join.index.contains(t.values)).map(_.key).toSet
+  def membership(join: JoinSpec, tuples: Seq[JTuple]): IndexedSeq[Boolean] =
+    tuples.map(t => join.index.contains(t.values)).toIndexedSeq
 }

@@ -6,7 +6,7 @@ object ChiSquare {
   /** The statistic of `total` draws over `support` equally likely keys;
     * keys never drawn (absent from `counts`) contribute their expectation.
     */
-  def statistic(counts: Map[String, Int], support: Int, total: Int): Double = {
+  def statistic(counts: Map[_, Int], support: Int, total: Int): Double = {
     val exp = total.toDouble / support
     counts.values.map(c => (c - exp) * (c - exp) / exp).sum + (support - counts.size) * exp
   }

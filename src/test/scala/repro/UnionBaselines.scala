@@ -46,9 +46,9 @@ final class BernoulliUnionSampler(joins: Seq[JoinSpec], params: UnionParams,
   def sample(count: Int): UnionSample = {
     val rng = new java.util.Random(seed)
     val stats = new UnionStats
-    val buffers = samplers.map(new DrawBuffer(_, stats, seed))
+    val buffers = samplers.map(new DrawBuffer(_, stats, rng.nextLong()))
     val target = scala.collection.mutable.ArrayBuffer.empty[(JTuple, Int)]
-    val owner = scala.collection.mutable.HashMap.empty[String, Int]
+    val owner = scala.collection.mutable.HashMap.empty[IndexedSeq[Any], Int]
     val probs = params.joinSizes.map(s => math.min(1.0, s / math.max(params.unionSize, 1e-9)))
 
     while (target.size < count) {
@@ -57,7 +57,7 @@ final class BernoulliUnionSampler(joins: Seq[JoinSpec], params: UnionParams,
         if (rng.nextDouble() < probs(j)) {
           val t = buffers(j).pop(32)
           val t1 = System.nanoTime()
-          owner.getOrElseUpdate(t.key, j) match {
+          owner.getOrElseUpdate(t.values, j) match {
             case o if o == j => target += ((t, j)); stats.accepted += 1
             case _           => stats.rejectedDup += 1
           }

@@ -150,7 +150,7 @@ class HistogramSpec extends SparkSpec {
     val keys = new FullJoinUnion(Seq(w.joins.head)).unionKeys
     val res = UnionSampler(w.joins, est, "EW", seed = 3).sample(200)
     assert(res.tuples.size == 200)
-    assert(res.tuples.forall { case (t, j) => j == 0 && keys.contains(t.key) })
+    assert(res.tuples.forall { case (t, j) => j == 0 && keys.contains(t.values) })
   }
 
   // ---- §8.1 templates -----------------------------------------------------

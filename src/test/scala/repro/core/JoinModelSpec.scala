@@ -57,16 +57,15 @@ class JoinModelSpec extends SparkSpec {
       JTuple(IndexedSeq.range(0, cols.size).map(r.get), 1.0)).toSeq
   }
 
-  /** J0's tuples probed against J0 are its keys, and against J1 exactly
-    * the keys J0 and J1 share.
+  /** J0's tuples probed against J0 are all members, and against J1
+    * exactly those J1 also holds.
     */
   private def assertProbes(j0: JoinSpec, j1: JoinSpec): Unit = {
     val t0 = tuplesOf(j0)
-    val k0 = t0.map(_.key).toSet
-    val k1 = tuplesOf(j1).map(_.key).toSet
-    assert(k0.nonEmpty)
-    assert(WanderJoin.membership(j0, t0) == k0)
-    assert(WanderJoin.membership(j1, t0) == (k0 intersect k1))
+    val k1 = tuplesOf(j1).map(_.values).toSet
+    assert(t0.nonEmpty)
+    assert(WanderJoin.membership(j0, t0) == t0.map(_ => true))
+    assert(WanderJoin.membership(j1, t0) == t0.map(t => k1.contains(t.values)))
   }
 
   test("membership probe agrees with the materialized join") {
@@ -78,15 +77,15 @@ class JoinModelSpec extends SparkSpec {
     assertProbes(nulls.joins(0), nulls.joins(1))
     assertProbes(nulls.joins(1), nulls.joins(0))
     val nullKey = JTuple(IndexedSeq("A0", 99L, null), 1.0) // (atag, bval, k)
-    nulls.joins.foreach(j => assert(WanderJoin.membership(j, Seq(nullKey)).isEmpty))
+    nulls.joins.foreach(j => assert(WanderJoin.membership(j, Seq(nullKey)) == Seq(false)))
 
     // Cyclic: the skeleton r ⋈ s holds tuples the residual t rules out.
     val tri = ToyData.toyTriangle(spark)
     val skeleton = AcyclicJoin("tri_skeleton", tri.root.copy(children = tri.root.children.init))
     val cands = tuplesOf(skeleton)
-    val triKeys = tuplesOf(tri).map(_.key).toSet
+    val triKeys = tuplesOf(tri).map(_.values).toSet
     assert(cands.size > triKeys.size)
-    assert(WanderJoin.membership(tri, cands) == triKeys)
+    assert(cands.zip(WanderJoin.membership(tri, cands)).collect { case (t, true) => t.values }.toSet == triKeys)
 
     // A null outside the join keys: the tuple is still a tuple of its join.
     import spark.implicits._
@@ -95,11 +94,12 @@ class JoinModelSpec extends SparkSpec {
     val j0 = ChainJoin("np_J0", Seq(a, b("np_b0", (1L, 10L), (2L, 20L))), Seq("k"))
     val j1 = ChainJoin("np_J1", Seq(a, b("np_b1", (1L, 10L), (3L, 30L))), Seq("k"))
     assertProbes(j0, j1)
-    assert(WanderJoin.membership(j1, tuplesOf(j0)) == Set(JTuple.key(Seq(null, 10L, 1L))))
+    val t0 = tuplesOf(j0)
+    assert(t0.zip(WanderJoin.membership(j1, t0)).collect { case (t, true) => t.values } == Seq(Seq(null, 10L, 1L)))
   }
 
   test("membership probe on empty candidates") {
-    assert(WanderJoin.membership(toy.joins.head, Seq.empty) == Set.empty[String])
+    assert(WanderJoin.membership(toy.joins.head, Seq.empty).isEmpty)
   }
 
   test("FullJoinUnion: exact toy sizes, overlap and union") {
@@ -141,7 +141,7 @@ class JoinModelSpec extends SparkSpec {
     val fju = new FullJoinUnion(toy.joins)
     val sample = fju.sampleUnion(200, seed = 5)
     assert(sample.size == 200)
-    assert(sample.forall(t => fju.unionKeys.contains(t.key)))
+    assert(sample.forall(t => fju.unionKeys.contains(t.values)))
   }
 
   test("cyclic residual materialization preserves the join result") {

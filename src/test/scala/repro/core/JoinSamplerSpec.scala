@@ -35,14 +35,14 @@ class JoinSamplerSpec extends SparkSpec {
     val (ts, ds) = new ExactWeightSampler(j).sample(500, seed = 1)
     assert(ts.size == 500)
     assert(ds.rejected == 0 && ds.walkFailures == 0)
-    assert(ts.forall(t => keys.contains(t.key)))
+    assert(ts.forall(t => keys.contains(t.values)))
   }
 
   test("EW sampling is uniform over the join (chi-square)") {
     val j = toy.joins.head // |J| = 12
     val n = 3000
     val (ts, _) = new ExactWeightSampler(j).sample(n, seed = 2)
-    val counts = ts.groupBy(_.key).map { case (k, v) => k -> v.size }
+    val counts = ts.groupBy(_.values).map { case (k, v) => k -> v.size }
     val chi = ChiSquare.statistic(counts, 12, n)
     // df = 11; χ²_{0.999,11} ≈ 31.3 — generous but catches systematic bias
     assert(chi < 35.0, s"chi-square $chi over counts $counts")
@@ -53,7 +53,7 @@ class JoinSamplerSpec extends SparkSpec {
     val size = star.fullJoin.count().toInt
     val n = 4000
     val (ts, _) = new ExactWeightSampler(star).sample(n, seed = 3)
-    val counts = ts.groupBy(_.key).map { case (k, v) => k -> v.size }
+    val counts = ts.groupBy(_.values).map { case (k, v) => k -> v.size }
     assert(counts.size <= size)
     val chi = ChiSquare.statistic(counts, size, n)
     val dfree = size - 1
@@ -159,8 +159,8 @@ class JoinSamplerSpec extends SparkSpec {
       assert(size == keys.size)
       val n = 20 * size
       val (ts, _) = s.sample(n, seed = 14 + i)
-      assert(ts.forall(t => keys.contains(t.key)), s"${j.name}: a draw outside the join")
-      val counts = ts.groupBy(_.key).map { case (k, v) => k -> v.size }
+      assert(ts.forall(t => keys.contains(t.values)), s"${j.name}: a draw outside the join")
+      val counts = ts.groupBy(_.values).map { case (k, v) => k -> v.size }
       val chi = ChiSquare.statistic(counts, size, n)
       val bound = ChiSquare.quantile999(size - 1)
       assert(chi < bound, s"${j.name}: chi-square $chi over $size tuples, bound $bound")
@@ -222,16 +222,16 @@ class JoinSamplerSpec extends SparkSpec {
     val keys = new FullJoinUnion(Seq(j)).unionKeys
     val (ts, ds) = new OlkenSampler(j).sample(300, seed = 5)
     assert(ts.size == 300)
-    assert(ts.forall(t => keys.contains(t.key)))
+    assert(ts.forall(t => keys.contains(t.values)))
     assert(ds.walkAttempts >= 300)
-    assert(ds.rejectedTuples.forall(t => t.p > 0 && keys.contains(t.key)))
+    assert(ds.rejectedTuples.forall(t => t.p > 0 && keys.contains(t.values)))
   }
 
   test("EO sampling is uniform over the join (chi-square)") {
     val j = toy.joins.head
     val n = 3000
     val (ts, _) = new OlkenSampler(j).sample(n, seed = 6)
-    val counts = ts.groupBy(_.key).map { case (k, v) => k -> v.size }
+    val counts = ts.groupBy(_.values).map { case (k, v) => k -> v.size }
     val chi = ChiSquare.statistic(counts, 12, n)
     assert(chi < 35.0, s"chi-square $chi over counts $counts")
   }
@@ -242,8 +242,8 @@ class JoinSamplerSpec extends SparkSpec {
     val n = 2500
     val (ts, _) = new OlkenSampler(tri).sample(n, seed = 7)
     val keys = new FullJoinUnion(Seq(tri)).unionKeys
-    assert(ts.forall(t => keys.contains(t.key)))
-    val counts = ts.groupBy(_.key).map { case (k, v) => k -> v.size }
+    assert(ts.forall(t => keys.contains(t.values)))
+    val counts = ts.groupBy(_.values).map { case (k, v) => k -> v.size }
     val chi = ChiSquare.statistic(counts, size, n)
     val dfree = size - 1
     assert(chi < dfree + 5 * math.sqrt(2.0 * dfree) + 10, s"chi-square $chi, support $size")

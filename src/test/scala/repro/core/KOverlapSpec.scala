@@ -32,7 +32,7 @@ class KOverlapSpec extends AnyFunSuite with PropHelpers {
     forAllN(setSystems) { sets =>
       val n = sets.size
       for (j <- 0 until n) {
-        val a = KOverlap.aOverlaps(n, j, exactO(sets), clamp = false)
+        val a = KOverlap.aOverlaps(n, j, exactO(sets))
         for (k <- 1 to n) {
           val expect = sets(j).count { e =>
             sets.count(_.contains(e)) == k && sets(j).contains(e)
@@ -69,7 +69,7 @@ class KOverlapSpec extends AnyFunSuite with PropHelpers {
     forAllN(setSystems) { sets =>
       val o = exactO(sets) _
       assert(math.abs(
-        KOverlap.unionSizeByK(sets.size, o) - KOverlap.unionSizeByCover(sets.size, o)) < 1e-9)
+        KOverlap.unionSizeByK(sets.size, o) - KOverlap.coverSizes(sets.size, o).sum) < 1e-9)
     }
   }
 

@@ -18,7 +18,7 @@ class OnlineUnionSamplerSpec extends SparkSpec {
     val res = s.sample(600)
     val fju = new FullJoinUnion(toy.joins)
     assert(res.tuples.size == 600)
-    assert(res.tuples.forall { case (t, _) => fju.unionKeys.contains(t.key) })
+    assert(res.tuples.forall { case (t, _) => fju.unionKeys.contains(t.values) })
     val st = res.stats.asInstanceOf[s.OnlineStats]
     assert(st.poolHits > 0, "reuse pools were never hit")
   }
@@ -30,7 +30,7 @@ class OnlineUnionSamplerSpec extends SparkSpec {
       phi = Int.MaxValue) // no backtracking: isolate the reuse path
     val n = 4000
     val res = s.sample(n)
-    val counts = res.tuples.groupBy(_._1.key).map { case (k, v) => k -> v.size }
+    val counts = res.tuples.groupBy(_._1.values).map { case (k, v) => k -> v.size }
     val chi = ChiSquare.statistic(counts, 16, n)
     // reuse acceptance uses estimated |J_j|; allow a wider band than Alg 1
     assert(chi < 80.0, s"chi-square $chi over $counts")
@@ -59,7 +59,7 @@ class OnlineUnionSamplerSpec extends SparkSpec {
       assert(st.estimatesKept > 0, s"${w.name}: every join was walked before the first re-estimate")
       val perJoin = res.tuples.groupBy(_._2).map { case (j, v) => j -> v.size }
       assert(w.joins.indices.forall(perJoin.contains), s"${w.name}: samples per join $perJoin")
-      val counts = res.tuples.groupBy(_._1.key).map { case (k, v) => k -> v.size }
+      val counts = res.tuples.groupBy(_._1.values).map { case (k, v) => k -> v.size }
       val chi = ChiSquare.statistic(counts, size, n)
       val bound = ChiSquare.quantile999(size - 1)
       assert(chi < bound, s"${w.name}: chi-square $chi over $size tuples, bound $bound")

@@ -52,11 +52,11 @@ class PureSpec extends AnyFunSuite with PropHelpers {
     assert(book.offer(a, 1))  // same-owner copy
     assert(book.offer(b, 0))  // new key: join 0 owns b
     assert(!book.offer(b, 1)) // b drawn from a later join: rejected
-    assert(book.tuples.map { case (t, j) => (t.key, j) } ==
-      Seq(a.key -> 1, a.key -> 1, b.key -> 0))
+    assert(book.tuples.map { case (t, j) => (t.values, j) } ==
+      Seq(a.values -> 1, a.values -> 1, b.values -> 0))
     assert(book.offer(a, 0))  // revision: both copies under join 1 go
-    assert(book.tuples.map { case (t, j) => (t.key, j) } == Seq(b.key -> 0, a.key -> 0))
-    assert(book.owners == Map(a.key -> 0, b.key -> 0))
+    assert(book.tuples.map { case (t, j) => (t.values, j) } == Seq(b.values -> 0, a.values -> 0))
+    assert(book.owners == Map(a.values -> 0, b.values -> 0))
     assert(stats.accepted == 4 && stats.rejectedDup == 1)
     assert(stats.revisions == 1 && stats.revisionRemoved == 2)
   }
@@ -68,7 +68,7 @@ class PureSpec extends AnyFunSuite with PropHelpers {
     val b = JTuple(IndexedSeq("b"), 0.5)
     book.offer(a, 0); book.offer(b, 1)
     assert(book.retain(_._2 == 0) == 1)
-    assert(book.size == 1 && book.owners == Map(a.key -> 0, b.key -> 1))
+    assert(book.size == 1 && book.owners == Map(a.values -> 0, b.values -> 1))
     assert(!book.redraw(1)(a)) // a is owned by the earlier join 0
     assert(stats.rejectedDup == CoverBook.MaxRedraws)
     assert(book.redraw(1)(b) && book.size == 2)

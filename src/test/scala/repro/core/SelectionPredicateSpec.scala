@@ -34,7 +34,7 @@ class SelectionPredicateSpec extends SparkSpec {
     assert(ts.size == n)
     assert(ts.forall(pred), "every sample must satisfy the predicate")
     // σ(J) = keys 1..6: 1..4 appear twice (two payloads), 5..6 once → 10 tuples
-    val counts = ts.groupBy(_.key).map { case (k, v) => k -> v.size }
+    val counts = ts.groupBy(_.values).map { case (k, v) => k -> v.size }
     assert(counts.size <= 10)
     val chi = ChiSquare.statistic(counts, 10, n)
     assert(chi < 32.0, s"chi-square $chi") // df = 9; χ²_{0.999,9} ≈ 27.9
@@ -60,6 +60,6 @@ class SelectionPredicateSpec extends SparkSpec {
     val kIdx = WanderJoin.canonCols(j).indexOf("k")
     val pred = (t: repro.core.walk.JTuple) => t.values(kIdx).asInstanceOf[Long] <= 6
     val (ts, _) = new OlkenSampler(j, Some(pred)).sample(500, seed = 5)
-    assert(ts.map(_.key).toSet.subsetOf(pushKeys))
+    assert(ts.map(_.values).toSet.subsetOf(pushKeys))
   }
 }

@@ -19,7 +19,7 @@ class WalkSpec extends SparkSpec {
     val keys = fju.unionKeys
     val wb = WanderJoin.walkBatch(j, 300, seed = 1)
     assert(wb.samples.nonEmpty)
-    assert(wb.samples.forall(t => keys.contains(t.key)))
+    assert(wb.samples.forall(t => keys.contains(t.values)))
   }
 
   test("walk probabilities are exact on a 2-relation chain") {
@@ -64,7 +64,7 @@ class WalkSpec extends SparkSpec {
     val keys = new FullJoinUnion(Seq(tri)).unionKeys
     val wb = WanderJoin.walkBatch(tri, 4000, seed = 6)
     assert(wb.failures > 0 && wb.samples.nonEmpty)
-    assert(wb.samples.forall(t => keys.contains(t.key)))
+    assert(wb.samples.forall(t => keys.contains(t.values)))
     val rel = math.abs(wb.sizeEstimate - keys.size) / keys.size
     assert(rel < 0.1, s"estimate ${wb.sizeEstimate} vs exact ${keys.size}")
   }
@@ -97,7 +97,7 @@ class WalkSpec extends SparkSpec {
     val j0 = toy.joins(0)
     val wb = WanderJoin.walkBatch(j0, 3000, seed = 8)
     val memb = WanderJoin.membership(toy.joins(1), wb.samples)
-    val pHat = RandomWalkOverlap.membershipFraction(wb.samples, t => memb.contains(t.key))
+    val pHat = RandomWalkOverlap.membershipFraction(wb.samples, memb)
     // exact |O|/|J0| = 8/12
     assert(math.abs(pHat - 8.0 / 12.0) < 0.08, s"pHat $pHat")
     val est = RandomWalkOverlap.overlapEstimate(wb.sizeEstimate, pHat)
