@@ -26,6 +26,9 @@ final case class UnionParams(n: Int, overlaps: Map[Set[Int], Double]) {
   lazy val alphas: IndexedSeq[Double] =
     if (unionSize <= 0) IndexedSeq.fill(n)(1.0 / n) else coverSizes.map(_ / unionSize)
 
+  /** Running sums of `alphas`, which `CoverBook.pick` selects a join by. */
+  lazy val cumAlphas: IndexedSeq[Double] = alphas.scanLeft(0.0)(_ + _).tail
+
   /** Ratios |J_j| / |U| whose error the paper's Fig. 4/5a reports. */
   lazy val ratios: IndexedSeq[Double] = joinSizes.map(_ / unionSize)
 }

@@ -105,17 +105,16 @@ final class OnlineUnionSampler(joins: Seq[JoinSpec],
       })
     }
 
-    def chunk(j: Int, alphas: IndexedSeq[Double]): Int =
+    def chunk(j: Int): Int =
       if (reuse && pools(j).nonEmpty) {
         // Pools serve most draws; size walk refills by the observed pool
         // fall-through rate so refills stay few *and* amortized.
         val fallRate = (stats.poolRejected + 1.0) / (stats.poolHits + stats.poolRejected + 2.0)
-        book.chunk(count, alphas(j), share = fallRate, lo = 8)
-      } else book.chunk(count, alphas(j))
+        book.chunk(count, params.alphas(j), share = fallRate, lo = 8)
+      } else book.chunk(count, params.alphas(j))
 
     while (book.size < count) {
-      val alphas = params.alphas
-      val j = CoverBook.pick(alphas.scanLeft(0.0)(_ + _).tail, rng.nextDouble())
+      val j = CoverBook.pick(params.cumAlphas, rng.nextDouble())
 
       // -- reuse path (Alg. 2 lines 7–8) ----------------------------------
       // R-rejection retries the pool: the pool is an i.i.d. collection of
@@ -138,15 +137,13 @@ final class OnlineUnionSampler(joins: Seq[JoinSpec],
         if (copies == 0) stats.poolRejected += 1
         else {
           stats.poolHits += 1
-          var anyAccepted = false
-          (0 until copies).foreach(_ => anyAccepted |= book.offer(t, j))
-          served = anyAccepted
+          served = book.offer(t, j, copies)
         }
         stats.poolNs += System.nanoTime() - t0
       }
 
       // -- walk path (Alg. 2 lines 9–10), redraw until cover-accepted -----
-      if (!served) book.redraw(j)(buffers(j).pop(chunk(j, alphas)))
+      if (!served) book.redraw(j)(buffers(j).pop(chunk(j)))
 
       // -- backtracking with parameter update (Alg. 2 line 18) ------------
       if (recordedP >= phi && !confident) {

@@ -89,12 +89,11 @@ final class UnionSampler(joins: Seq[JoinSpec], params: UnionParams,
 
   def sample(count: Int): UnionSample = {
     val rng = new java.util.Random(seed)
-    val cum = params.alphas.scanLeft(0.0)(_ + _).tail
     val stats = new UnionStats
     val buffers = samplers.map(new DrawBuffer(_, stats, rng.nextLong()))
     val book = new CoverBook(stats)
     while (book.size < count) {
-      val j = CoverBook.pick(cum, rng.nextDouble())
+      val j = CoverBook.pick(params.cumAlphas, rng.nextDouble())
       book.redraw(j)(buffers(j).pop(book.chunk(count, params.alphas(j))))
     }
     UnionSample(book.tuples.take(count), stats)

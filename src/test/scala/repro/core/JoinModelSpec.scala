@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.Row
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, ToyData}
 import repro.ExactUnionSampling._
@@ -146,8 +145,6 @@ class JoinModelSpec extends SparkSpec {
 
   test("cyclic residual materialization preserves the join result") {
     val j = ToyData.toyTriangle(spark)
-    import spark.implicits._
-    val r = j.root.rel.df.as("r")
     val expect = j.root.rel.df
       .join(j.root.children.head.child.rel.df, "b")
       .join(j.residual.df, Seq("c", "a"))

@@ -86,6 +86,84 @@ class PureSpec extends AnyFunSuite with PropHelpers {
     assert(book.redraw(0)(a) && stats.redrawGiveUps == 1)
   }
 
+  test("CoverBook: a revision after retain removes only the live copies") {
+    val stats = new UnionStats
+    val book = new CoverBook(stats)
+    val (a1, a2, a3) = (JTuple(IndexedSeq("a"), 0.1), JTuple(IndexedSeq("a"), 0.2), JTuple(IndexedSeq("a"), 0.3))
+    val b = JTuple(IndexedSeq("b"), 0.5)
+    assert(book.offer(a1, 1) && book.offer(b, 2) && book.offer(a2, 1) && book.offer(a3, 1))
+    assert(book.retain(_._1 != a2) == 1)
+    val a0 = JTuple(IndexedSeq("a"), 0.4)
+    assert(book.offer(a0, 0)) // revision: the two live copies under join 1 go
+    assert(stats.revisions == 1 && stats.revisionRemoved == 2)
+    assert(book.size == 2 && book.tuples == Seq(b -> 2, a0 -> 0))
+    assert(book.offer(b, 2, 3) && book.size == 5)
+    assert(book.tuples == Seq(b -> 2, a0 -> 0, b -> 2, b -> 2, b -> 2))
+    assert(book.retain(_._1 == b) == 1 && book.tuples == Seq.fill(4)(b -> 2))
+  }
+
+  test("CoverBook: a multi-copy offer counts like that many single offers") {
+    val stats = new UnionStats
+    val book = new CoverBook(stats)
+    val a = JTuple(IndexedSeq("a"), 0.5)
+    assert(book.offer(a, 0))
+    assert(!book.offer(a, 1, 3)) // owned by the earlier join 0
+    assert(stats.rejectedDup == 3 && stats.accepted == 1 && book.size == 1)
+    assert(book.offer(a, 0, 3) && stats.accepted == 4 && book.size == 4)
+    assertThrows[IllegalArgumentException](book.offer(a, 0, 0))
+  }
+
+  import PureSpec._
+
+  private val bookOpGen: Gen[BookOp] = Gen.frequency(
+    6 -> (for { v <- Gen.choose(0, 4); j <- Gen.choose(0, 3); c <- Gen.frequency(3 -> 1, 1 -> Gen.choose(2, 4)) }
+      yield Offer(v, j, c)),
+    2 -> (for { j <- Gen.choose(0, 3); vs <- Gen.nonEmptyListOf(Gen.choose(0, 4)) } yield Redraw(j, vs.take(4))),
+    2 -> Gen.long.map(Retain(_)))
+
+  test("CoverBook agrees with the reference model on random sessions") {
+    var revisionsAfterRetain = 0
+    forAllN(Gen.listOf(bookOpGen), n = 300) { ops =>
+      val (stats, refStats) = (new UnionStats, new UnionStats)
+      val (book, ref) = (new CoverBook(stats), new ReferenceCoverBook(refStats))
+      def counters(s: UnionStats) =
+        (s.accepted, s.rejectedDup, s.revisions, s.revisionRemoved, s.redrawGiveUps, s.joinDraws)
+      var retained = false
+      var p = 0
+      // A fresh tuple per draw, with its own p: T must keep each copy's own tuple.
+      def tuple(v: Int) = { p += 1; JTuple(IndexedSeq(v.toLong), 1.0 / p) }
+      ops.foreach { op =>
+        val revisions = stats.revisions
+        op match {
+          case Offer(v, j, c) =>
+            val t = tuple(v)
+            assert(book.offer(t, j, c) == ref.offer(t, j, c), op)
+          case Redraw(j, vs) =>
+            val ts = vs.map(tuple).toIndexedSeq
+            var (k, kRef) = (0, 0)
+            assert(book.redraw(j) { k += 1; ts((k - 1) % ts.size) } ==
+              ref.redraw(j) { kRef += 1; ts((kRef - 1) % ts.size) }, op)
+            assert(k == kRef, op)
+          case Retain(seed) =>
+            val (rng, refRng) = (new java.util.Random(seed), new java.util.Random(seed))
+            val (asked, refAsked) = (Seq.newBuilder[(JTuple, Int)], Seq.newBuilder[(JTuple, Int)])
+            assert(book.retain { e => asked += e; rng.nextBoolean() } ==
+              ref.retain { e => refAsked += e; refRng.nextBoolean() }, op)
+            assert(asked.result() == refAsked.result(), op)
+            retained = true
+        }
+        if (retained && stats.revisions > revisions) revisionsAfterRetain += 1
+        assert(book.tuples == ref.tuples, op)
+        assert(book.size == ref.size, op)
+        assert(book.owners == ref.owners, op)
+        assert(book.chunk(40, 0.3) == ref.chunk(40, 0.3), op)
+        assert(book.chunk(40, 0.7, share = 0.4, lo = 8) == ref.chunk(40, 0.7, share = 0.4, lo = 8), op)
+        assert(counters(stats) == counters(refStats), op)
+      }
+    }
+    assert(revisionsAfterRetain > 50)
+  }
+
   test("EW Cdf: u at the total picks the last positive entry; zero weights never") {
     val w = Array(0.0, 2.0, 0.0, 3.0, 0.0)
     val cdf = new ExactWeightSampler.Cdf(w.indices.toArray, w)
@@ -144,4 +222,13 @@ class PureSpec extends AnyFunSuite with PropHelpers {
         assert(v <= m(sub) + 1e-9)
     }
   }
+}
+
+object PureSpec {
+
+  /** One step of a [[CoverBook]] session over values 0..4 of joins 0..3. */
+  private sealed trait BookOp
+  private final case class Offer(v: Int, j: Int, copies: Int) extends BookOp
+  private final case class Redraw(j: Int, vs: List[Int]) extends BookOp
+  private final case class Retain(seed: Long) extends BookOp
 }

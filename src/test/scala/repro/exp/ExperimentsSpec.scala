@@ -1,7 +1,6 @@
 package repro.exp
 
 import repro.SparkSpec
-import repro.core.union.FullJoinUnion
 
 /** Smoke tests of every experiment harness at unit-test scale: rows are
   * well-formed and the headline shape claims hold where they are scale-
